@@ -3,7 +3,8 @@
 // For target scales 10^3 / 10^4 / 10^5 / 10^6 nodes, measures wall time
 // and memory for the three setup phases that dominate large runs:
 //   build      — make_hierarchy topology generation (+ validation),
-//   route      — HierarchicalRoutingTables::build,
+//   route      — HierarchicalRoutingTables::build (wall and process CPU
+//                seconds: the build fans out over every hardware thread),
 //   partition  — partition_hierarchical (coarsen-once) on the node graph,
 // plus the process peak RSS after each scale. Writes BENCH_scale.json.
 //
@@ -14,15 +15,23 @@
 //   * at 10^3 nodes: a dense table is actually built and every (src, dst)
 //     next hop / next link matches the hierarchical backend bit-for-bit
 //     (unique shortest paths via the generator's latency jitter);
-//   * every partition is complete and within 2x of the balance target.
+//   * every partition is complete and within 2x of the balance target;
+//   * at 10^5 and 10^6 nodes, on hosts with >= 4 CPUs: the routing build's
+//     process CPU seconds (getrusage, all threads) are >= 2.0x its wall
+//     seconds, so an accidentally serial build fails. On narrower hosts the
+//     clause is recorded as skipped in the JSON ("gate" object) — a 1-core
+//     container cannot falsify a parallelism claim.
 //
 // MASSF_SCALE_MAX_NODES caps the largest scale for CI smoke runs
 // (e.g. 100000). The full 10^6 point needs ~2 GB RSS and a few minutes.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -39,6 +48,17 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+// User + system CPU seconds of every thread of this process so far.
+double process_cpu_seconds() {
+  struct rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return secs(usage.ru_utime) + secs(usage.ru_stime);
+}
+
 struct ScaleResult {
   std::int64_t target = 0;
   int nodes = 0;
@@ -47,6 +67,7 @@ struct ScaleResult {
   int borders = 0;
   double build_s = 0;
   double route_s = 0;
+  double route_cpu_s = 0;
   double partition_s = 0;
   int parts = 0;
   double edge_cut = 0;
@@ -75,6 +96,15 @@ int main(int argc, char** argv) {
   for (const std::int64_t t : {1000LL, 10000LL, 100000LL, 1000000LL})
     if (t <= max_nodes) targets.push_back(t);
 
+  const unsigned num_cpus = std::thread::hardware_concurrency();
+  const bool parallelism_enforced = num_cpus >= 4;
+  const std::string gate_reason =
+      parallelism_enforced
+          ? "num_cpus >= 4: routing-build parallelism clause enforced at "
+            "1e5 and 1e6 nodes"
+          : "num_cpus < 4: routing-build parallelism recorded but not "
+            "enforced (cannot falsify a parallelism claim on a narrow host)";
+
   bool ok = true;
   std::vector<ScaleResult> results;
   for (const std::int64_t target : targets) {
@@ -89,9 +119,11 @@ int main(int argc, char** argv) {
     r.links = net.link_count();
     r.domains = net.domain_count();
 
+    const double cpu0 = process_cpu_seconds();
     t0 = Clock::now();
     const auto routes = massf::routing::HierarchicalRoutingTables::build(net);
     r.route_s = seconds_since(t0);
+    r.route_cpu_s = process_cpu_seconds() - cpu0;
     r.borders = routes.border_count();
     r.routing_memory_bytes = routes.memory_bytes();
     r.dense_projected_bytes =
@@ -125,6 +157,18 @@ int main(int argc, char** argv) {
       }
     }
 
+    if (parallelism_enforced && (target == 100000 || target == 1000000)) {
+      const double parallelism = r.route_cpu_s / r.route_s;
+      if (parallelism < 2.0) {
+        std::cerr << "FAIL: routing build at " << target << " nodes used "
+                  << r.route_cpu_s << " CPU s in " << r.route_s
+                  << " wall s = " << parallelism
+                  << "x parallelism on " << num_cpus
+                  << " CPUs (clause: >= 2.0x)\n";
+        ok = false;
+      }
+    }
+
     if (target == 1000) {
       // Bit-identity vs the dense backend, every (src, dst) pair. The
       // generator's latency jitter makes shortest paths unique, so the
@@ -146,7 +190,8 @@ int main(int argc, char** argv) {
     r.peak_rss_bytes = massf::bench::peak_rss_bytes();
     std::cout << "scale " << target << ": " << r.nodes << " nodes, "
               << r.domains << " domains, " << r.borders << " borders | build "
-              << r.build_s << " s, route " << r.route_s << " s, partition "
+              << r.build_s << " s, route " << r.route_s << " s ("
+              << r.route_cpu_s << " CPU s), partition "
               << r.partition_s << " s | routing "
               << r.routing_memory_bytes / 1.0e6 << " MB vs dense projection "
               << r.dense_projected_bytes / 1.0e6 << " MB | peak RSS "
@@ -156,12 +201,17 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"scale\",\n"
-      << "  \"context\": " << massf::bench::context_json(0, "  ") << ",\n"
+      << "  \"context\": "
+      << massf::bench::context_json(static_cast<int>(num_cpus), "  ")
+      << ",\n"
       // Setup-phase bench: no kernel runs and no fault plan, so the run
       // config records the default tuning and a zero fault seed.
       << "  \"run_config\": "
       << massf::bench::run_config_json(massf::des::KernelTuning{}, 0, "  ")
       << ",\n"
+      << "  \"gate\": {\"parallelism_enforced\": "
+      << (parallelism_enforced ? "true" : "false") << ", \"reason\": \""
+      << gate_reason << "\"},\n"
       << "  \"scales\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScaleResult& r = results[i];
@@ -173,6 +223,9 @@ int main(int argc, char** argv) {
         << "      \"borders\": " << r.borders << ",\n"
         << "      \"build_s\": " << r.build_s << ",\n"
         << "      \"route_s\": " << r.route_s << ",\n"
+        << "      \"route_cpu_s\": " << r.route_cpu_s << ",\n"
+        << "      \"route_parallelism\": " << r.route_cpu_s / r.route_s
+        << ",\n"
         << "      \"partition_s\": " << r.partition_s << ",\n"
         << "      \"parts\": " << r.parts << ",\n"
         << "      \"edge_cut\": " << r.edge_cut << ",\n"

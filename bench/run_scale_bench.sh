@@ -8,7 +8,9 @@
 # the cache really says Release, then runs bench_scale. The binary exits
 # non-zero unless hierarchical routing memory at 10^5 nodes is <= 10% of
 # the dense n² projection, the 10^3-node next hops are bit-identical to
-# the dense backend, and every partition balances within 2x.
+# the dense backend, every partition balances within 2x, and (on hosts
+# with >= 4 CPUs) the routing build at 10^5 and 10^6 nodes keeps >= 2
+# cores busy on average (process CPU seconds / wall seconds >= 2.0).
 # MASSF_SCALE_MAX_NODES caps the largest scale (CI smoke: 100000).
 set -euo pipefail
 

@@ -5,11 +5,15 @@
 #include <queue>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace massf::routing {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Domains or border rows a build worker claims at a time: a few ms of work
+// at 10⁶ nodes, so claiming costs nothing and the tail stays short.
+constexpr std::int64_t kChunk = 8;
 }  // namespace
 
 // Mask-independent decomposition of the network: node → (domain, local id),
@@ -246,32 +250,39 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
   }
 
   // ---- Per-domain restricted all-pairs tables ----
+  // Domains are independent: each worker writes only domains_[i] for the
+  // domains it claims, so the tables are the same for any thread count.
   h.domains_.resize(static_cast<std::size_t>(domains));
   h.shared_domains_ = 0;
   {
-    // Scratch reused across domains (sized for the largest).
+    // Per-worker scratch; the per-node arrays fit the largest domain.
+    struct DomainScratch {
+      std::vector<double> sdist;
+      std::vector<int> parent;
+      std::vector<char> done;
+      std::vector<int> settle;
+      std::vector<std::int64_t> ladj_off;
+      std::vector<int> ladj_to;
+      std::vector<double> ladj_lat;
+      int shared = 0;
+    };
     std::int64_t max_dom = 0;
     for (int i = 0; i < domains; ++i)
       max_dom = std::max(max_dom,
                          topo.dom_node_off[static_cast<std::size_t>(i) + 1] -
                              topo.dom_node_off[static_cast<std::size_t>(i)]);
-    std::vector<double> sdist(static_cast<std::size_t>(max_dom));
-    std::vector<int> parent(static_cast<std::size_t>(max_dom));
-    std::vector<char> done(static_cast<std::size_t>(max_dom));
-    std::vector<int> settle;
-    settle.reserve(static_cast<std::size_t>(max_dom));
-    std::vector<std::int64_t> ladj_off;
-    std::vector<int> ladj_to;
-    std::vector<double> ladj_lat;
+    DomainScratch init;
+    init.sdist.resize(static_cast<std::size_t>(max_dom));
+    init.parent.resize(static_cast<std::size_t>(max_dom));
+    init.done.resize(static_cast<std::size_t>(max_dom));
 
-    for (int i = 0; i < domains; ++i) {
-      const std::int64_t node_lo = topo.dom_node_off[static_cast<std::size_t>(i)];
-      const std::int64_t node_hi =
-          topo.dom_node_off[static_cast<std::size_t>(i) + 1];
+    const auto solve_domain = [&](DomainScratch& s, std::int64_t domain) {
+      const auto i = static_cast<std::size_t>(domain);
+      const std::int64_t node_lo = topo.dom_node_off[i];
+      const std::int64_t node_hi = topo.dom_node_off[i + 1];
       const int d = static_cast<int>(node_hi - node_lo);
-      const std::int64_t link_lo = topo.dom_link_off[static_cast<std::size_t>(i)];
-      const std::int64_t link_hi =
-          topo.dom_link_off[static_cast<std::size_t>(i) + 1];
+      const std::int64_t link_lo = topo.dom_link_off[i];
+      const std::int64_t link_hi = topo.dom_link_off[i + 1];
 
       std::vector<char> node_mask(static_cast<std::size_t>(d));
       for (int k = 0; k < d; ++k)
@@ -283,12 +294,12 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
             link_active(topo.dom_links[static_cast<std::size_t>(k)]) ? 1 : 0;
 
       if (previous != nullptr) {
-        const auto& prior = previous->domains_[static_cast<std::size_t>(i)];
+        const auto& prior = previous->domains_[i];
         if (prior && prior->node_mask == node_mask &&
             prior->link_mask == link_mask) {
-          h.domains_[static_cast<std::size_t>(i)] = prior;
-          h.shared_domains_++;
-          continue;
+          h.domains_[i] = prior;
+          s.shared++;
+          return;
         }
       }
 
@@ -303,24 +314,26 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
 
       // Local adjacency over the domain's live intra links (both
       // directions; parallel links kept — the Dijkstra relaxes each).
-      ladj_off.assign(static_cast<std::size_t>(d) + 1, 0);
+      s.ladj_off.assign(static_cast<std::size_t>(d) + 1, 0);
       for (std::int64_t k = link_lo; k < link_hi; ++k) {
         if (!dt.link_mask[static_cast<std::size_t>(k - link_lo)]) continue;
         const topology::Link& link =
             network.link(topo.dom_links[static_cast<std::size_t>(k)]);
         if (!node_active(link.a) || !node_active(link.b)) continue;
-        ladj_off[static_cast<std::size_t>(
+        s.ladj_off[static_cast<std::size_t>(
             topo.local_of[static_cast<std::size_t>(link.a)]) + 1]++;
-        ladj_off[static_cast<std::size_t>(
+        s.ladj_off[static_cast<std::size_t>(
             topo.local_of[static_cast<std::size_t>(link.b)]) + 1]++;
       }
       for (int v = 0; v < d; ++v)
-        ladj_off[static_cast<std::size_t>(v) + 1] +=
-            ladj_off[static_cast<std::size_t>(v)];
-      ladj_to.resize(static_cast<std::size_t>(ladj_off[static_cast<std::size_t>(d)]));
-      ladj_lat.resize(ladj_to.size());
+        s.ladj_off[static_cast<std::size_t>(v) + 1] +=
+            s.ladj_off[static_cast<std::size_t>(v)];
+      s.ladj_to.resize(
+          static_cast<std::size_t>(s.ladj_off[static_cast<std::size_t>(d)]));
+      s.ladj_lat.resize(s.ladj_to.size());
       {
-        std::vector<std::int64_t> cursor(ladj_off.begin(), ladj_off.end() - 1);
+        std::vector<std::int64_t> cursor(s.ladj_off.begin(),
+                                         s.ladj_off.end() - 1);
         for (std::int64_t k = link_lo; k < link_hi; ++k) {
           if (!dt.link_mask[static_cast<std::size_t>(k - link_lo)]) continue;
           const topology::Link& link =
@@ -329,11 +342,11 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
           const int la = topo.local_of[static_cast<std::size_t>(link.a)];
           const int lb = topo.local_of[static_cast<std::size_t>(link.b)];
           std::int64_t at = cursor[static_cast<std::size_t>(la)]++;
-          ladj_to[static_cast<std::size_t>(at)] = lb;
-          ladj_lat[static_cast<std::size_t>(at)] = link.latency_s;
+          s.ladj_to[static_cast<std::size_t>(at)] = lb;
+          s.ladj_lat[static_cast<std::size_t>(at)] = link.latency_s;
           at = cursor[static_cast<std::size_t>(lb)]++;
-          ladj_to[static_cast<std::size_t>(at)] = la;
-          ladj_lat[static_cast<std::size_t>(at)] = link.latency_s;
+          s.ladj_to[static_cast<std::size_t>(at)] = la;
+          s.ladj_lat[static_cast<std::size_t>(at)] = link.latency_s;
         }
       }
 
@@ -342,32 +355,32 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
       // lower-id parent) so restricted first hops match it bit-for-bit.
       for (int ls = 0; ls < d; ++ls) {
         if (!dt.node_mask[static_cast<std::size_t>(ls)]) continue;
-        std::fill(sdist.begin(), sdist.begin() + d, kInf);
-        std::fill(parent.begin(), parent.begin() + d, -1);
-        std::fill(done.begin(), done.begin() + d, 0);
-        settle.clear();
+        std::fill(s.sdist.begin(), s.sdist.begin() + d, kInf);
+        std::fill(s.parent.begin(), s.parent.begin() + d, -1);
+        std::fill(s.done.begin(), s.done.begin() + d, 0);
+        s.settle.clear();
         using Item = std::pair<double, int>;
         std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-        sdist[static_cast<std::size_t>(ls)] = 0;
+        s.sdist[static_cast<std::size_t>(ls)] = 0;
         heap.emplace(0.0, ls);
         while (!heap.empty()) {
           const auto [dd, u] = heap.top();
           heap.pop();
-          if (done[static_cast<std::size_t>(u)]) continue;
-          done[static_cast<std::size_t>(u)] = 1;
-          settle.push_back(u);
-          for (std::int64_t k = ladj_off[static_cast<std::size_t>(u)];
-               k < ladj_off[static_cast<std::size_t>(u) + 1]; ++k) {
-            const int to = ladj_to[static_cast<std::size_t>(k)];
-            const double cand = dd + ladj_lat[static_cast<std::size_t>(k)];
-            double& best = sdist[static_cast<std::size_t>(to)];
+          if (s.done[static_cast<std::size_t>(u)]) continue;
+          s.done[static_cast<std::size_t>(u)] = 1;
+          s.settle.push_back(u);
+          for (std::int64_t k = s.ladj_off[static_cast<std::size_t>(u)];
+               k < s.ladj_off[static_cast<std::size_t>(u) + 1]; ++k) {
+            const int to = s.ladj_to[static_cast<std::size_t>(k)];
+            const double cand = dd + s.ladj_lat[static_cast<std::size_t>(k)];
+            double& best = s.sdist[static_cast<std::size_t>(to)];
             const bool improves =
                 cand < best ||
-                (cand == best && parent[static_cast<std::size_t>(to)] >= 0 &&
-                 u < parent[static_cast<std::size_t>(to)]);
-            if (improves && !done[static_cast<std::size_t>(to)]) {
+                (cand == best && s.parent[static_cast<std::size_t>(to)] >= 0 &&
+                 u < s.parent[static_cast<std::size_t>(to)]);
+            if (improves && !s.done[static_cast<std::size_t>(to)]) {
               best = cand;
-              parent[static_cast<std::size_t>(to)] = u;
+              s.parent[static_cast<std::size_t>(to)] = u;
               heap.emplace(cand, to);
             }
           }
@@ -377,19 +390,21 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
         std::uint16_t* nrow = dt.next.data() +
                               static_cast<std::size_t>(ls) *
                                   static_cast<std::size_t>(d);
-        for (const int v : settle) {
-          drow[v] = sdist[static_cast<std::size_t>(v)];
+        for (const int v : s.settle) {
+          drow[v] = s.sdist[static_cast<std::size_t>(v)];
           if (v == ls) {
             nrow[v] = static_cast<std::uint16_t>(ls);
             continue;
           }
-          const int p = parent[static_cast<std::size_t>(v)];
+          const int p = s.parent[static_cast<std::size_t>(v)];
           nrow[v] = p == ls ? static_cast<std::uint16_t>(v) : nrow[p];
         }
       }
-      h.domains_[static_cast<std::size_t>(i)] =
-          std::make_shared<const DomainTable>(std::move(dt));
-    }
+      h.domains_[i] = std::make_shared<const DomainTable>(std::move(dt));
+    };
+    for (const DomainScratch& s :
+         util::parallel_for(domains, kChunk, init, solve_domain))
+      h.shared_domains_ += s.shared;
   }
 
   // ---- Exact border-to-border distances over the quotient graph ----
@@ -434,16 +449,17 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
       badj[static_cast<std::size_t>(b)].emplace_back(a, link.latency_s);
     }
 
-    std::vector<char> done(static_cast<std::size_t>(B));
-    for (int a = 0; a < B; ++a) {
-      if (!node_active(topo.borders[static_cast<std::size_t>(a)])) continue;
+    // One Dijkstra per border row; each worker writes only its own rows.
+    const std::vector<char> done_init(static_cast<std::size_t>(B));
+    const auto solve_row = [&](std::vector<char>& done, std::int64_t a) {
+      if (!node_active(topo.borders[static_cast<std::size_t>(a)])) return;
       double* row = h.border_dist_.data() +
                     static_cast<std::size_t>(a) * static_cast<std::size_t>(B);
       std::fill(done.begin(), done.end(), 0);
       using Item = std::pair<double, int>;
       std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
       row[a] = 0;
-      heap.emplace(0.0, a);
+      heap.emplace(0.0, static_cast<int>(a));
       while (!heap.empty()) {
         const auto [dd, u] = heap.top();
         heap.pop();
@@ -457,7 +473,8 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
           }
         }
       }
-    }
+    };
+    util::parallel_for(B, kChunk, done_init, solve_row);
   }
 
   // ---- Reachability: BFS component labels over the live adjacency ----
@@ -681,6 +698,39 @@ std::size_t HierarchicalRoutingTables::memory_bytes() const {
              t.dom_borders.capacity() * sizeof(int);
   }
   return total;
+}
+
+std::uint64_t HierarchicalRoutingTables::digest() const {
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto bytes = [&hash](const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t k = 0; k < size; ++k) {
+      hash ^= p[k];
+      hash *= 1099511628211ULL;
+    }
+  };
+  const auto vec = [&bytes](const auto& v) {
+    const std::uint64_t size = v.size();
+    bytes(&size, sizeof(size));
+    bytes(v.data(), v.size() * sizeof(v[0]));
+  };
+  for (const auto& dt : domains_) {
+    bytes(&dt->size, sizeof(dt->size));
+    vec(dt->dist);
+    vec(dt->next);
+    vec(dt->node_mask);
+    vec(dt->link_mask);
+  }
+  vec(border_dist_);
+  vec(active_);
+  vec(adj_off_);
+  vec(adj_to_);
+  vec(adj_link_);
+  vec(adj_lat_);
+  vec(reach_.component);
+  bytes(&reach_.component_count, sizeof(reach_.component_count));
+  bytes(&reach_.inactive_nodes, sizeof(reach_.inactive_nodes));
+  return hash;
 }
 
 int HierarchicalRoutingTables::domain_count() const { return topo_->domains; }

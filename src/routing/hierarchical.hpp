@@ -55,7 +55,9 @@ class HierarchicalRoutingTables final : public RoutingView {
   /// Build for the surviving subgraph (null masks mean "everything up").
   /// Never throws on disconnection. `previous` (if non-null, built from the
   /// same network) donates the DomainTables of domains whose masks did not
-  /// change; shared_domains() reports how many were reused.
+  /// change; shared_domains() reports how many were reused. Domain tables
+  /// and border-matrix rows are solved on every hardware thread; the result
+  /// is bit-identical for any thread count.
   static HierarchicalRoutingTables build_partial(
       const Network& network, Reachability* reachability = nullptr,
       const std::vector<char>* links_up = nullptr,
@@ -80,6 +82,12 @@ class HierarchicalRoutingTables final : public RoutingView {
   int border_count() const;
   /// DomainTables donated by `previous` in the last build_partial.
   int shared_domains() const { return shared_domains_; }
+
+  /// FNV-1a over every byte the build produced: each DomainTable (distances,
+  /// first hops, masks), the border matrix, the active adjacency and the
+  /// component labels. Two builds are bit-identical iff their digests match
+  /// (up to hash collisions), however many threads built them.
+  std::uint64_t digest() const;
 
  private:
   /// Local first-hop marker for "no path".

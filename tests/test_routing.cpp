@@ -454,5 +454,36 @@ TEST(HierarchicalRouting, RouteWalksMatchDenseAndScratchVariantAgrees) {
     }
 }
 
+TEST(HierarchicalRouting, GoldenDigestsOfFullAndMaskedBuilds) {
+  // The build fans domains and border rows out over worker threads; every
+  // byte it produces must match what the one-thread build produced. The
+  // expected digests were recorded from that one-thread build, so this
+  // gates bit-identity with no second code path kept alongside.
+  const Network net =
+      make_hierarchy(topology::hierarchy_params_for_nodes(10000));
+  ASSERT_EQ(net.node_count(), 10012);
+  const HierarchicalRoutingTables full =
+      HierarchicalRoutingTables::build_partial(net);
+  EXPECT_EQ(full.domain_count(), 413);
+  EXPECT_EQ(full.border_count(), 413);
+  EXPECT_EQ(full.digest(), 0x78d3f461bcfdfc52ULL);
+
+  // One intra-pod link down in pod 0 and one distribution router down in
+  // pod 3: those two domains are re-solved, every other one is donated.
+  const NodeId acc = net.find_node("p0a0");
+  const NodeId dist = net.find_node("p3d0");
+  ASSERT_GE(acc, 0);
+  ASSERT_GE(dist, 0);
+  std::vector<char> links_up(static_cast<std::size_t>(net.link_count()), 1);
+  links_up[static_cast<std::size_t>(net.incident_links(acc).front())] = 0;
+  std::vector<char> nodes_up(static_cast<std::size_t>(net.node_count()), 1);
+  nodes_up[static_cast<std::size_t>(dist)] = 0;
+  const HierarchicalRoutingTables masked =
+      HierarchicalRoutingTables::build_partial(net, nullptr, &links_up,
+                                               &nodes_up, &full);
+  EXPECT_EQ(masked.shared_domains(), full.domain_count() - 2);
+  EXPECT_EQ(masked.digest(), 0x3a78a0de252c4831ULL);
+}
+
 }  // namespace
 }  // namespace massf::routing

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "util/csv.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/spinwait.hpp"
 #include "util/stats.hpp"
@@ -304,6 +308,56 @@ TEST(SpinBarrier, ParkDisallowedStillSynchronizes) {
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(completions, kPhases);
+}
+
+// Each index owns one plain-int slot: a double visit shows up as a count of
+// 2 here and as a data race under TSan. Per-worker states must add up to
+// the count, and no more workers run than there are chunks.
+TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
+  constexpr std::int64_t kChunk = 4;
+  const std::int64_t cores =
+      std::max<std::int64_t>(1, std::thread::hardware_concurrency());
+  for (const std::int64_t count :
+       {std::int64_t{0}, std::int64_t{1}, kChunk - 1, 64 * cores * kChunk + 3}) {
+    std::vector<int> visits(static_cast<std::size_t>(count), 0);
+    const std::vector<std::int64_t> per_worker = util::parallel_for(
+        count, kChunk, std::int64_t{0}, [&](std::int64_t& n, std::int64_t i) {
+          visits[static_cast<std::size_t>(i)]++;
+          n++;
+        });
+    for (std::int64_t i = 0; i < count; ++i)
+      ASSERT_EQ(visits[static_cast<std::size_t>(i)], 1)
+          << "index " << i << " of " << count;
+    std::int64_t total = 0;
+    for (const std::int64_t n : per_worker) total += n;
+    EXPECT_EQ(total, count);
+    EXPECT_LE(static_cast<std::int64_t>(per_worker.size()),
+              std::min(cores, (count + kChunk - 1) / kChunk));
+  }
+}
+
+// A throwing body must surface on the caller as that exception — not as
+// std::terminate from an unjoined thread — and only after every worker has
+// left its body, so the caller's data is no longer in use.
+TEST(ParallelFor, RethrowsOnCallerAfterJoiningWorkers) {
+  constexpr std::int64_t kCount = 10000;
+  std::atomic<int> in_body{0};
+  std::atomic<int> calls{0};
+  try {
+    util::parallel_for(kCount, 2, 0, [&](int&, std::int64_t i) {
+      in_body.fetch_add(1);
+      calls.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      in_body.fetch_sub(1);
+      if (i == 37) throw std::runtime_error("body failed at 37");
+    });
+    FAIL() << "expected parallel_for to rethrow the body's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "body failed at 37");
+  }
+  EXPECT_EQ(in_body.load(), 0);
+  // Workers stop claiming chunks once one has failed.
+  EXPECT_LT(calls.load(), kCount);
 }
 
 }  // namespace

@@ -106,39 +106,59 @@ constexpr double kFastLa = 1e-3;   // intra-site channel lookahead (1 ms)
 constexpr double kSlowLa = 50e-3;  // cross-site channel lookahead (50 ms)
 constexpr double kDumbbellEnd = 5.0;
 
-// A chain bounces a message between two LPs, each hop exactly one channel
-// lookahead ahead — the densest traffic the channel admits.
-void bounce(des::Kernel& kernel, int here, int peer, double la, double end) {
-  const double t = kernel.now() + la;
-  if (t >= end) return;
-  kernel.schedule_remote(peer, t, [&kernel, here, peer, la, end] {
-    bounce(kernel, peer, here, la, end);
-  });
-}
+// One bouncing chain's channel: a message alternates between the two LPs,
+// each hop exactly one channel lookahead ahead — the densest traffic the
+// channel admits.
+struct Link {
+  int a;
+  int b;
+  double la;
+};
+
+// Typed sink: the payload names the chain's link; the hop goes to the
+// link's other end.
+class BounceSink : public des::EventSink {
+ public:
+  explicit BounceSink(des::Kernel& kernel) : kernel_(kernel) {}
+
+  void on_packet_event(const des::PacketEvent& event) override {
+    const auto* link = static_cast<const Link*>(event.payload);
+    const double t = kernel_.now() + link->la;
+    if (t >= kDumbbellEnd) return;
+    const int peer = kernel_.current_lp() == link->a ? link->b : link->a;
+    kernel_.schedule_packet_remote(peer, t, {event.payload, peer});
+  }
+
+ private:
+  des::Kernel& kernel_;
+};
 
 ConfigResult run_dumbbell(des::SyncMode sync, des::ExecutionMode exec) {
   des::Kernel kernel(4, kFastLa);
   kernel.set_sync_mode(sync);
+  BounceSink sink(kernel);
+  kernel.set_event_sink(&sink);
   // Sites {0,1} and {2,3}; only 0<->2 joins them. Registered in both sync
   // modes so the validation surface (and therefore the history) matches.
-  const std::pair<int, int> sites[] = {{0, 1}, {2, 3}};
-  for (auto [a, b] : sites) {
-    kernel.set_channel_lookahead(a, b, kFastLa);
-    kernel.set_channel_lookahead(b, a, kFastLa);
+  Link sites[] = {{0, 1, kFastLa}, {2, 3, kFastLa}};
+  Link cross{0, 2, kSlowLa};
+  for (const Link& site : sites) {
+    kernel.set_channel_lookahead(site.a, site.b, kFastLa);
+    kernel.set_channel_lookahead(site.b, site.a, kFastLa);
   }
   kernel.set_channel_lookahead(0, 2, kSlowLa);
   kernel.set_channel_lookahead(2, 0, kSlowLa);
 
   // Two fast chains per site (staggered half a lookahead apart) plus one
   // slow cross-site chain.
-  for (auto [a, b] : sites) {
-    kernel.schedule(a, kFastLa,
-                    [&kernel, a, b] { bounce(kernel, a, b, kFastLa, kDumbbellEnd); });
-    kernel.schedule(b, 1.5 * kFastLa,
-                    [&kernel, a, b] { bounce(kernel, b, a, kFastLa, kDumbbellEnd); });
+  auto start = [&kernel](int lp, double t, Link& link) {
+    kernel.schedule_packet(lp, t, {&link, lp});
+  };
+  for (Link& site : sites) {
+    start(site.a, kFastLa, site);
+    start(site.b, 1.5 * kFastLa, site);
   }
-  kernel.schedule(0, kSlowLa,
-                  [&kernel] { bounce(kernel, 0, 2, kSlowLa, kDumbbellEnd); });
+  start(0, kSlowLa, cross);
 
   const auto t0 = std::chrono::steady_clock::now();
   kernel.run_until(kDumbbellEnd, exec);

@@ -60,7 +60,7 @@ using namespace massf;
 
 constexpr double kRingLa = 1e-3;     // ring channel lookahead (1 ms)
 constexpr double kRingEnd = 10.0;    // simulated horizon before scaling
-constexpr int kFillerPerHop = 4;     // same-LP events scheduled per hop
+constexpr std::uintptr_t kFillerPerHop = 4;  // same-LP events per hop
 constexpr int kEventWorkIters = 600;  // xorshift rounds per event (~2 us)
 
 // Per-thread sink so the compute below has an observable effect the
@@ -87,23 +87,40 @@ double horizon_scale() {
   return 1.0;
 }
 
-// One ring token: execute the hop at `at`, schedule the next hop one
-// lookahead ahead on the successor LP, and drop same-LP filler events in
-// between so handoff is not the only work an engine ever does.
-void hop(des::Kernel& kernel, int n, int at, double end) {
-  event_work(static_cast<std::uint64_t>(at) + 1);
-  const double t = kernel.now() + kRingLa;
-  if (t >= end) return;
-  const int next = (at + 1) % n;
-  kernel.schedule_remote(next, t, [&kernel, n, next, end] {
-    hop(kernel, n, next, end);
-  });
-  for (int j = 1; j <= kFillerPerHop; ++j) {
-    const double local = kernel.now() + kRingLa * 0.15 * j;
-    if (local < end)
-      kernel.schedule(at, local, [j] { event_work(static_cast<std::uint64_t>(j)); });
+// Typed sink for the ring. A token event (payload 0) executes the hop on
+// the current LP, schedules the next hop one lookahead ahead on the
+// successor LP, and drops same-LP filler events (payload j = 1..kFillerPerHop)
+// in between so handoff is not the only work an engine ever does.
+class RingSink : public des::EventSink {
+ public:
+  RingSink(des::Kernel& kernel, int lps, double end)
+      : kernel_(kernel), lps_(lps), end_(end) {}
+
+  void on_packet_event(const des::PacketEvent& event) override {
+    const auto filler = reinterpret_cast<std::uintptr_t>(event.payload);
+    if (filler != 0) {
+      event_work(filler);
+      return;
+    }
+    const int at = kernel_.current_lp();
+    event_work(static_cast<std::uint64_t>(at) + 1);
+    const double t = kernel_.now() + kRingLa;
+    if (t >= end_) return;
+    const int next = (at + 1) % lps_;
+    kernel_.schedule_packet_remote(next, t, {nullptr, next});
+    for (std::uintptr_t j = 1; j <= kFillerPerHop; ++j) {
+      const double local =
+          kernel_.now() + kRingLa * 0.15 * static_cast<double>(j);
+      if (local < end_)
+        kernel_.schedule_packet(at, local, {reinterpret_cast<void*>(j), at});
+    }
   }
-}
+
+ private:
+  des::Kernel& kernel_;
+  int lps_;
+  double end_;
+};
 
 struct ConfigResult {
   std::string exec;  // "sequential" | "threaded" | "threaded_legacy"
@@ -132,6 +149,8 @@ ConfigResult run_ring(int n, des::SyncMode sync, des::ExecutionMode exec,
     des::Kernel kernel(n, kRingLa);
     kernel.set_sync_mode(sync);
     kernel.set_tuning(tuning);
+    RingSink sink(kernel, n, end);
+    kernel.set_event_sink(&sink);
     for (int i = 0; i < n; ++i) {
       kernel.set_channel_lookahead(i, (i + 1) % n, kRingLa);
       // Reverse channels keep the validation surface symmetric (and give
@@ -140,8 +159,7 @@ ConfigResult run_ring(int n, des::SyncMode sync, des::ExecutionMode exec,
     }
     for (int i = 0; i < n; ++i) {
       const double stagger = kRingLa * (1.0 + 0.25 * i);
-      kernel.schedule(i, stagger,
-                      [&kernel, n, i, end] { hop(kernel, n, i, end); });
+      kernel.schedule_packet(i, stagger, {nullptr, i});
     }
     const auto t0 = std::chrono::steady_clock::now();
     kernel.run_until(end, exec);

@@ -264,6 +264,21 @@ void Reader::expect_tag(std::uint32_t t, const char* what) {
   }
 }
 
+std::uint64_t Reader::bounded_count(std::size_t min_bytes,
+                                    const char* what) {
+  const std::size_t at = pos_;
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_bytes) {
+    std::ostringstream os;
+    os << "checkpoint";
+    if (!source_.empty()) os << " '" << source_ << "'";
+    os << ": " << what << " " << n << " at offset " << at << " exceeds the "
+       << remaining() << " bytes left in the payload — corrupt count";
+    throw CkptError(os.str());
+  }
+  return n;
+}
+
 std::string checkpoint_filename(std::uint64_t seq) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "ckpt_%012llu.bin",

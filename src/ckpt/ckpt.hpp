@@ -97,6 +97,10 @@ class Reader {
   double f64();
   std::string str();
   void expect_tag(std::uint32_t t, const char* what);
+  /// A u64 element count for elements of at least `min_bytes` each; throws
+  /// CkptError when the rest of the payload cannot hold that many, so a
+  /// corrupt count never sizes an allocation.
+  std::uint64_t bounded_count(std::size_t min_bytes, const char* what);
 
   std::size_t remaining() const { return buf_.size() - pos_; }
 

@@ -94,23 +94,22 @@ std::vector<double> KernelStats::loads() const {
 }
 
 struct Kernel::Impl {
-  /// One scheduled event, 48 trivially-copyable bytes. Tagged by `cb`:
-  /// null marks a typed packet event whose POD payload is dispatched to
-  /// the registered EventSink; otherwise `cb` boxes the generic Callback
-  /// fallback used for app/endpoint work. The box is a raw owning pointer,
-  /// not unique_ptr, so the struct stays trivially copyable — heap sifts
-  /// (the single hottest operation in the kernel) then move events by
-  /// plain memcpy. Ownership is simple because every event has exactly one
-  /// terminal: execute_event() deletes the box after invoking it, and
-  /// ~Impl() sweeps events still sitting in queues/outboxes.
+  /// One scheduled event: the PacketEvent (payload, node) handed to the
+  /// sink plus its (t, origin, seq) order key, packed into 32 trivially-
+  /// copyable bytes. Heap sifts — the single hottest operation in the
+  /// kernel — move events by plain memcpy, two to a cache line. The kernel
+  /// owns nothing an event points to, so pending events need no cleanup.
   struct Event {
     SimTime t;
-    std::uint32_t origin;
     std::uint64_t seq;
-    PacketEvent packet;
-    Callback* cb;
+    void* payload;
+    std::uint32_t origin;
+    std::int32_t node;  // PacketEvent::node, also the rehome key
+
+    PacketEvent packet() const { return {payload, node}; }
   };
   static_assert(std::is_trivially_copyable_v<Event>);
+  static_assert(sizeof(Event) == 32);
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
       if (a.t != b.t) return a.t > b.t;
@@ -194,7 +193,6 @@ struct Kernel::Impl {
     std::uint64_t remote_received = 0;
     std::uint64_t history = kHashSeed;
     SimTime max_time = 0;
-    SimTime published_next = Kernel::never();
     /// Reused staging buffer for inbox/mailbox merges (this LP only).
     std::vector<Event> scratch;
     /// ChannelLookahead: advance-loop iterations that executed something.
@@ -202,7 +200,7 @@ struct Kernel::Impl {
     /// ChannelLookahead + Threaded: wall seconds spent stalled.
     double idle_wait = 0;
     /// Doorbell for the threaded stall/park protocol: senders ring it after
-    /// publishing a run or advancing their clock (run_channel_threaded).
+    /// publishing a run or advancing their clock (ChannelRun::advance).
     util::WaitSlot wake;
     /// Batched outbox runs this LP published (ChannelLookahead only;
     /// deterministic in Sequential mode — the outbox-threshold observable).
@@ -239,6 +237,9 @@ struct Kernel::Impl {
     alignas(64) RunNode* head = nullptr;
     /// Sender-local stash of free nodes popped off `recycled` in bulk.
     RunNode* free_cache = nullptr;
+    /// Every node this channel ever allocated (setup or sender side); the
+    /// queue, the stash and `recycled` link them by raw pointer.
+    std::vector<std::unique_ptr<RunNode>> nodes;
     /// Receiver-side cursor: the consumed stub; `tail->next` is the oldest
     /// unconsumed run (null = empty — the receiver's poll/stall predicate).
     alignas(64) RunNode* tail = nullptr;
@@ -279,30 +280,13 @@ struct Kernel::Impl {
     channel_of.assign(lps.size() * lps.size(), -1);
   }
 
-  ~Impl() {
-    // Events still pending when the kernel dies (end_time cutoffs) own
-    // their callback boxes; executed events already deleted theirs.
-    for (Lp& lp : lps) {
-      for (Event& e : lp.queue.v) delete e.cb;  // massf-lint: allow(raw-new)
-      for (Outbox& box : lp.outbox)
-        for (Event& e : box.events) delete e.cb;  // massf-lint: allow(raw-new)
-    }
-    // Channel run nodes: the live queue (tail through head — the workers
-    // are joined, plain loads suffice), the recycled stack, and the sender
-    // cache. Only live-queue nodes can still hold events.
-    for (auto& ch : channels) {
-      auto sweep = [](Channel::RunNode* node) {
-        while (node != nullptr) {
-          Channel::RunNode* next = node->next.load(std::memory_order_relaxed);
-          for (Event& e : node->events) delete e.cb;  // massf-lint: allow(raw-new)
-          delete node;  // massf-lint: allow(raw-new)
-          node = next;
-        }
-      };
-      sweep(ch->tail);
-      sweep(ch->recycled.load(std::memory_order_relaxed));
-      sweep(ch->free_cache);
-    }
+  /// Earliest queued event over all LPs (never() when every queue is
+  /// empty). Callers hold every worker parked.
+  SimTime earliest_queued() const {
+    SimTime m = Kernel::never();
+    for (const Lp& lp : lps)
+      if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
+    return m;
   }
 
   std::int32_t channel_index(std::size_t src, std::size_t dst) const {
@@ -311,22 +295,8 @@ struct Kernel::Impl {
 
   /// Drop the whole channel graph so restore_checkpoint can rebuild it from
   /// the snapshot (registration order and per-channel stats included).
-  /// Pre-run only: setup-time channels hold no events, so the sweep frees
-  /// just the stub/recycled nodes.
+  /// Pre-run only: setup-time channels hold no events.
   void clear_channels() {
-    for (auto& ch : channels) {
-      auto sweep = [](Channel::RunNode* node) {
-        while (node != nullptr) {
-          Channel::RunNode* next = node->next.load(std::memory_order_relaxed);
-          for (Event& e : node->events) delete e.cb;  // massf-lint: allow(raw-new)
-          delete node;  // massf-lint: allow(raw-new)
-          node = next;
-        }
-      };
-      sweep(ch->tail);
-      sweep(ch->recycled.load(std::memory_order_relaxed));
-      sweep(ch->free_cache);
-    }
     channels.clear();
     // massf-lint: allow(quadratic-reserve) — engine-count², not node-count².
     channel_of.assign(lps.size() * lps.size(), -1);
@@ -341,8 +311,9 @@ struct Kernel::Impl {
       auto ch = std::make_unique<Channel>();
       ch->src = static_cast<std::uint32_t>(src);
       ch->dst = static_cast<std::uint32_t>(dst);
-      // Queue stub (the consumed sentinel); freed by the ~Impl sweep.
-      ch->head = ch->tail = new Channel::RunNode;  // massf-lint: allow(raw-new)
+      // Queue stub (the consumed sentinel).
+      ch->head = ch->tail =
+          ch->nodes.emplace_back(std::make_unique<Channel::RunNode>()).get();
       channels.push_back(std::move(ch));
     }
     Channel& ch = *channels[static_cast<std::size_t>(slot)];
@@ -370,22 +341,12 @@ struct Kernel::Impl {
                 });
   }
 
-  /// Run one LP's events with t < window_end; `execute` performs accounting
-  /// and dispatches the event.
-  template <typename ExecuteFn>
-  static void process_window(Lp& lp, SimTime window_end, ExecuteFn&& execute) {
-    while (!lp.queue.empty() && lp.queue.top().t < window_end) {
-      Event event = lp.queue.pop();
-      execute(event);
-    }
-  }
-
-  /// Shared per-event accounting + dispatch (sink for packet events,
-  /// callback otherwise). `inv_bucket_width` is the precomputed reciprocal:
-  /// a multiply here instead of a divide per event.
+  /// Shared per-event accounting + dispatch to the sink.
+  /// `inv_bucket_width` is the precomputed reciprocal: a multiply here
+  /// instead of a divide per event.
   // massf-analyze: hot-path-root (the per-event dispatch loop)
   // massf-analyze: determinism-root (mixes lp.history via hash_mix)
-  void execute_event(Lp& lp, Event& e, double per_event_cost,
+  void execute_event(Lp& lp, const Event& e, double per_event_cost,
                      double inv_bucket_width, EventSink* sink) {
     tl_now = e.t;
     lp.window_busy += per_event_cost;
@@ -397,19 +358,29 @@ struct Kernel::Impl {
     const auto bucket = static_cast<std::size_t>(e.t * inv_bucket_width);
     if (lp.series.size() <= bucket) lp.series.resize(bucket + 1, 0.0);
     lp.series[bucket] += 1;
-    if (e.cb) {
-      const std::unique_ptr<Callback> owned(e.cb);  // delete even on throw
-      (*owned)();
-    } else {
-      sink->on_packet_event(e.packet);
+    sink->on_packet_event(e.packet());
+  }
+
+  /// Execute LP i's events with t < limit in (t, origin, seq) order, with
+  /// this thread's execution context set to LP i. Returns whether any ran.
+  bool execute_below(std::size_t i, SimTime limit, double per_event_cost,
+                     double inv_bucket_width, EventSink* sink) {
+    Lp& lp = lps[i];
+    bool executed = false;
+    tl_current_lp = static_cast<int>(i);
+    while (!lp.queue.empty() && lp.queue.top().t < limit) {
+      execute_event(lp, lp.queue.pop(), per_event_cost, inv_bucket_width,
+                    sink);
+      executed = true;
     }
+    tl_current_lp = -1;
+    return executed;
   }
 
   /// Route every sender's dirty destination list into the receivers'
-  /// pending_sources. Must run single-threaded (sequential inter-phase, or
-  /// the barrier completion function in threaded mode); iterating senders
-  /// in index order keeps pending_sources ascending in both modes.
-  // massf-analyze: hot-path-root (outbox flush, runs once per window)
+  /// pending_sources. Must run single-threaded (WindowRun::account, a
+  /// barrier completion); iterating senders in index order keeps
+  /// pending_sources ascending.
   void flush_dirty_senders() {
     for (std::size_t s = 0; s < lps.size(); ++s) {
       Lp& sender = lps[s];
@@ -457,9 +428,10 @@ struct Kernel::Impl {
     receiver.remote_received += incoming;
   }
 
-  /// Deliver pending outbox slots into dst's queue (GlobalWindow drain
-  /// phase). Only senders recorded in pending_sources are visited.
-  // massf-analyze: hot-path-root (mailbox drain, runs once per window)
+  /// Deliver pending outbox slots into dst's queue (second half of the
+  /// GlobalWindow per-LP step). Only senders recorded in pending_sources
+  /// are visited.
+  // massf-analyze: hot-path-root (per-LP mailbox drain, once per window)
   void drain_inboxes(std::size_t dst, double per_remote_cost) {
     Lp& receiver = lps[dst];
     if (receiver.pending_sources.empty()) return;
@@ -486,11 +458,10 @@ struct Kernel::Impl {
       ch.free_cache = node->next.load(std::memory_order_relaxed);
       return node;
     }
-    // Cold path: the steady state recycles. Owned by the channel queue
-    // until the ~Impl sweep.
+    // Cold path: the steady state recycles.
     // massf-analyze: allow(hot-path-alloc) — node-pool refill, runs only
     // until the free list reaches the in-flight high-water mark.
-    return new Channel::RunNode;  // massf-lint: allow(raw-new)
+    return ch.nodes.emplace_back(std::make_unique<Channel::RunNode>()).get();
   }
 
   /// Return a spent stub to the sender (receiver side of the Treiber
@@ -529,9 +500,9 @@ struct Kernel::Impl {
   /// that channel's lookahead). Capping the sender's published clock there
   /// keeps hoarding conservative-safe — a receiver's bound through a
   /// hoarded channel never reaches the earliest event the hoard still owes
-  /// it. Runners force-flush whenever an advance executes nothing (the
-  /// prelude to every stall, rendezvous, and safepoint), so hoards never
-  /// outlive the sender's attention.
+  /// it. ChannelRun::advance force-flushes whenever it executes nothing
+  /// (the prelude to every stall, rendezvous, and safepoint), so hoards
+  /// never outlive the sender's attention.
   SimTime flush_channels(std::size_t src, bool force) {
     Lp& sender = lps[src];
     SimTime cap = Kernel::never();
@@ -578,14 +549,12 @@ struct Kernel::Impl {
   /// hoarded outbox, then force-drain every channel queue into its
   /// receiver's queue, so the hook — and rehome_events — sees the complete
   /// pending-event set in LP queues. A queue can legitimately be non-empty
-  /// at quiescence in both renditions (the receiver stalls on its bound
-  /// without polling runs it cannot use yet); draining in channel index
-  /// order charges the per-message receive cost exactly once and
-  /// identically in Sequential and Threaded mode. Runs single-threaded
-  /// with every worker parked. Receive costs are folded straight into
-  /// busy_total, which both renditions keep folded at their quiescent
-  /// points (window_busy is 0 on entry).
-  // massf-analyze: hot-path-root (channel drain, runs once per window)
+  /// at quiescence (the receiver stalls on its bound without polling runs
+  /// it cannot use yet); draining in channel index order charges the
+  /// per-message receive cost exactly once, whatever the execution mode.
+  /// Runs single-threaded with every worker parked. Receive costs are
+  /// folded straight into busy_total, which advance keeps folded
+  /// (window_busy is 0 on entry).
   void drain_all_channels(double per_remote_cost) {
     for (std::size_t s = 0; s < lps.size(); ++s) flush_channels(s, true);
     for (auto& chp : channels)
@@ -665,96 +634,42 @@ double Kernel::channel_lookahead(int src, int dst) const {
   return c < 0 ? never() : impl_->channels[static_cast<std::size_t>(c)]->lookahead;
 }
 
-double Kernel::remote_lookahead(int to_lp) const {
-  MASSF_REQUIRE(tl_current_lp >= 0,
-                "schedule_remote may only be called from an executing event");
-  MASSF_REQUIRE(to_lp >= 0 && to_lp < lp_count_, "LP index out of range");
-  if (impl_->channels.empty()) return lookahead_;
-  const std::int32_t c =
-      impl_->channel_index(static_cast<std::size_t>(tl_current_lp),
-                           static_cast<std::size_t>(to_lp));
-  MASSF_REQUIRE(c >= 0, "no channel registered from LP "
-                            << tl_current_lp << " to LP " << to_lp
-                            << ": once any per-channel lookahead is set, "
-                               "cross-LP sends are restricted to registered "
-                               "channels");
-  return impl_->channels[static_cast<std::size_t>(c)]->lookahead;
-}
-
-namespace {
-
-/// Shared validation for local scheduling (schedule / schedule_packet).
-void check_local_target(int lp, int lp_count, SimTime t) {
-  MASSF_REQUIRE(lp >= 0 && lp < lp_count, "LP index out of range");
+// massf-analyze: hot-path-root (per-packet local enqueue)
+void Kernel::schedule_packet(int lp, SimTime t, PacketEvent event) {
+  MASSF_REQUIRE(lp >= 0 && lp < lp_count_, "LP index out of range");
   MASSF_REQUIRE(std::isfinite(t) && t >= 0, "event time must be finite, >=0");
   if (tl_current_lp >= 0) {
     MASSF_REQUIRE(lp == tl_current_lp,
-                  "during execution, schedule() may only target the "
-                  "executing LP (use schedule_remote)");
+                  "during execution, schedule_packet() may only target the "
+                  "executing LP (use schedule_packet_remote)");
     MASSF_REQUIRE(t >= tl_now, "cannot schedule into the past (t="
                                    << t << " < now=" << tl_now << ")");
   }
+  MASSF_REQUIRE(sink_ != nullptr,
+                "register an EventSink before scheduling packet events");
+  Impl::Lp& state = impl_->lps[static_cast<std::size_t>(lp)];
+  state.queue.push({t, state.seq_counter++, event.payload,
+                    static_cast<std::uint32_t>(lp), event.node});
 }
 
-/// Shared validation for remote scheduling.
-void check_remote_target(int to_lp, int lp_count, SimTime t,
-                         double lookahead) {
+// massf-analyze: hot-path-root (per-packet cross-engine enqueue)
+void Kernel::schedule_packet_remote(int to_lp, SimTime t, PacketEvent event) {
   MASSF_REQUIRE(tl_current_lp >= 0,
-                "schedule_remote may only be called from an executing event");
-  MASSF_REQUIRE(to_lp >= 0 && to_lp < lp_count, "LP index out of range");
+                "schedule_packet_remote may only be called from an executing "
+                "event");
+  MASSF_REQUIRE(to_lp >= 0 && to_lp < lp_count_, "LP index out of range");
+  const double lookahead = channel_lookahead(tl_current_lp, to_lp);
+  MASSF_REQUIRE(lookahead != never(),
+                "no channel registered from LP "
+                    << tl_current_lp << " to LP " << to_lp
+                    << ": once any per-channel lookahead is set, cross-LP "
+                       "sends are restricted to registered channels");
   // Conservative safety: the receiver may already be executing events up to
   // now + lookahead. A tiny epsilon absorbs floating-point latency sums.
   MASSF_REQUIRE(t >= tl_now + lookahead - 1e-12,
                 "remote event at t=" << t << " violates lookahead (now="
                                      << tl_now << ", lookahead=" << lookahead
                                      << ")");
-}
-
-}  // namespace
-
-void Kernel::schedule(int lp, SimTime t, Callback fn, std::int32_t key) {
-  check_local_target(lp, lp_count_, t);
-  MASSF_REQUIRE(fn, "event callback must be callable");
-  Impl::Lp& state = impl_->lps[static_cast<std::size_t>(lp)];
-  // Event callback box: single terminal owner (execute_event / ~Impl).
-  // Callback events carry the rehome key in the otherwise-unused
-  // PacketEvent::node slot — the 48-byte layout is load-bearing (memcpy
-  // heap sifts), so no new field.
-  state.queue.push({t, static_cast<std::uint32_t>(lp), state.seq_counter++,
-                    PacketEvent{nullptr, key},
-                    new Callback(std::move(fn))});  // massf-lint: allow(raw-new)
-}
-
-// massf-analyze: hot-path-root (per-packet local enqueue)
-void Kernel::schedule_packet(int lp, SimTime t, PacketEvent event) {
-  check_local_target(lp, lp_count_, t);
-  MASSF_REQUIRE(sink_ != nullptr,
-                "register an EventSink before scheduling packet events");
-  Impl::Lp& state = impl_->lps[static_cast<std::size_t>(lp)];
-  state.queue.push({t, static_cast<std::uint32_t>(lp), state.seq_counter++,
-                    event, nullptr});
-}
-
-void Kernel::schedule_remote(int to_lp, SimTime t, Callback fn,
-                             std::int32_t key) {
-  check_remote_target(to_lp, lp_count_, t, remote_lookahead(to_lp));
-  MASSF_REQUIRE(fn, "event callback must be callable");
-  Impl::Lp& sender = impl_->lps[static_cast<std::size_t>(tl_current_lp)];
-  Impl::Outbox& box = sender.outbox[static_cast<std::size_t>(to_lp)];
-  if (box.events.empty())
-    sender.dirty_dsts.push_back(static_cast<std::uint32_t>(to_lp));
-  box.min_t = std::min(box.min_t, t);
-  // Event callback box: single terminal owner (execute_event / ~Impl).
-  box.events.push_back({t, static_cast<std::uint32_t>(tl_current_lp),
-                        sender.seq_counter++, PacketEvent{nullptr, key},
-                        new Callback(std::move(fn))});  // massf-lint: allow(raw-new)
-  sender.window_busy += cost_.per_remote_message;
-  ++sender.remote_sent;
-}
-
-// massf-analyze: hot-path-root (per-packet cross-engine enqueue)
-void Kernel::schedule_packet_remote(int to_lp, SimTime t, PacketEvent event) {
-  check_remote_target(to_lp, lp_count_, t, remote_lookahead(to_lp));
   MASSF_REQUIRE(sink_ != nullptr,
                 "register an EventSink before scheduling packet events");
   Impl::Lp& sender = impl_->lps[static_cast<std::size_t>(tl_current_lp)];
@@ -762,8 +677,8 @@ void Kernel::schedule_packet_remote(int to_lp, SimTime t, PacketEvent event) {
   if (box.events.empty())
     sender.dirty_dsts.push_back(static_cast<std::uint32_t>(to_lp));
   box.min_t = std::min(box.min_t, t);
-  box.events.push_back({t, static_cast<std::uint32_t>(tl_current_lp),
-                        sender.seq_counter++, event, nullptr});
+  box.events.push_back({t, sender.seq_counter++, event.payload,
+                        static_cast<std::uint32_t>(tl_current_lp), event.node});
   sender.window_busy += cost_.per_remote_message;
   ++sender.remote_sent;
 }
@@ -780,10 +695,6 @@ void Kernel::add_safepoint(SimTime t) {
 void Kernel::set_safepoint_hook(SafepointHook hook) {
   MASSF_REQUIRE(!ran_, "set the safepoint hook before running");
   safepoint_hook_ = std::move(hook);
-}
-
-SimTime Kernel::next_safepoint() const {
-  return next_sp_ < safepoints_.size() ? safepoints_[next_sp_] : never();
 }
 
 void Kernel::run_safepoint_hook(SimTime sp) {
@@ -804,17 +715,6 @@ void Kernel::run_safepoint_hook(SimTime sp) {
   tl_now = 0;
 }
 
-void Kernel::fire_global_safepoint(SimTime sp) {
-  run_safepoint_hook(sp);
-  // One cluster-wide rendezvous per safepoint, charged identically in the
-  // Sequential and Threaded renditions (test_faults pins GlobalWindow
-  // modeled_time to near-equality across execution modes). Channel-mode
-  // runs charge theirs inside finalize_channel_run instead.
-  stats_.modeled_time += cost_.per_window_sync;
-  stats_.coupled_time += cost_.per_window_sync;
-  ++next_sp_;
-}
-
 std::uint64_t Kernel::rehome_events(
     const std::function<int(std::int32_t)>& target_of) {
   MASSF_REQUIRE(in_safepoint_,
@@ -831,7 +731,7 @@ std::uint64_t Kernel::rehome_events(
     Impl::EventHeap& queue = lps[i].queue;
     auto keep = queue.v.begin();
     for (Impl::Event& e : queue.v) {
-      const std::int32_t key = e.packet.node;
+      const std::int32_t key = e.node;
       int target = static_cast<int>(i);
       if (key >= 0) {
         target = target_of(key);
@@ -886,7 +786,7 @@ void Kernel::save_checkpoint(
   MASSF_REQUIRE(save_payload, "packet payload serializer must be callable");
 
   // Quiescence audit. The safepoint protocol guarantees all of this (see
-  // drain_all_channels and the run_sequential loop structure); a violation
+  // drain_all_channels and WindowRun's phase order); a violation
   // here means pending events would be silently dropped from the snapshot.
   for (const Impl::Lp& lp : impl_->lps) {
     MASSF_CHECK(lp.dirty_dsts.empty() && lp.pending_sources.empty(),
@@ -911,10 +811,10 @@ void Kernel::save_checkpoint(
   w.f64(now());  // the safepoint time — the restored run resumes here
 
   // Live aggregate counters. GlobalWindow charges the safepoint rendezvous
-  // *after* the hook returns (fire_global_safepoint), and the restored run
+  // *after* the hook returns (WindowRun::decide), and the restored run
   // skips this safepoint entirely, so the charge is folded into the
   // snapshot here. Channel mode recomputes both times in
-  // finalize_channel_run from counters that are all saved below.
+  // ChannelRun::finish from counters that are all saved below.
   double modeled = stats_.modeled_time;
   double coupled = stats_.coupled_time;
   if (sync_mode_ == SyncMode::GlobalWindow) {
@@ -967,18 +867,11 @@ void Kernel::save_checkpoint(
               });
     w.u64(pending.size());
     for (const Impl::Event& e : pending) {
-      MASSF_REQUIRE(
-          e.cb == nullptr,
-          "cannot checkpoint a pending callback event (origin LP "
-              << e.origin << ", t=" << e.t
-              << "): closures are not serializable — schedule application "
-                 "work through typed control packets (AppApi::set_timer) "
-                 "instead of raw Kernel::schedule/AppApi::after");
       w.f64(e.t);
       w.u32(e.origin);
       w.u64(e.seq);
-      w.i64(e.packet.node);
-      save_payload(w, e.packet);
+      w.i64(e.node);
+      save_payload(w, e.packet());
     }
   }
   w.tag(kTagKernelEnd);
@@ -1035,19 +928,17 @@ void Kernel::restore_checkpoint(
   // scratch, so every event scheduled so far (endpoint starts, epoch
   // boundaries) is superseded by the checkpointed queues.
   for (Impl::Lp& lp : impl_->lps) {
-    for (Impl::Event& e : lp.queue.v) {
-      if (e.cb != nullptr)
-        delete e.cb;  // massf-lint: allow(raw-new)
-      else if (e.packet.payload != nullptr)
-        drop_payload(e.packet.payload);
-    }
+    for (const Impl::Event& e : lp.queue.v)
+      if (e.payload != nullptr) drop_payload(e.payload);
     lp.queue.v.clear();
     lp.queue.sorted = false;
   }
 
   r.expect_tag(kTagChannels, "channel section");
   impl_->clear_channels();
-  const std::uint64_t channel_count = r.u64();
+  // Counts are bounded by the bytes left before anything is sized from them
+  // (a channel record is 40 bytes, a bucket 8, an event at least 28).
+  const std::uint64_t channel_count = r.bounded_count(40, "channel count");
   for (std::uint64_t c = 0; c < channel_count; ++c) {
     const auto src = r.u32();
     const auto dst = r.u32();
@@ -1075,19 +966,25 @@ void Kernel::restore_checkpoint(
     lp.idle_wait = r.f64();
     lp.handoff_runs = r.u64();
     lp.parks = r.u64();
-    lp.series.assign(r.u64(), 0.0);
+    lp.series.assign(r.bounded_count(8, "load-series length"), 0.0);
     for (double& bucket : lp.series) bucket = r.f64();
 
-    const std::uint64_t pending = r.u64();
+    const std::uint64_t pending = r.bounded_count(28, "pending-event count");
     lp.queue.v.reserve(pending);
     for (std::uint64_t n = 0; n < pending; ++n) {
       Impl::Event e;
       e.t = r.f64();
       e.origin = r.u32();
+      MASSF_REQUIRE(std::isfinite(e.t) && e.t >= resume_time_ &&
+                        e.origin < lp_count,
+                    "checkpointed event (t=" << e.t << ", origin LP "
+                        << e.origin << ") must have a finite time at or after "
+                           "the resume time "
+                        << resume_time_ << " and an origin below "
+                        << lp_count);
       e.seq = r.u64();
-      e.packet.node = static_cast<std::int32_t>(r.i64());
-      e.packet.payload = load_payload(r);
-      e.cb = nullptr;
+      e.node = static_cast<std::int32_t>(r.i64());
+      e.payload = load_payload(r);
       lp.queue.v.push_back(e);
     }
     // Saved ascending; the sorted representation pops descending arrays
@@ -1098,6 +995,446 @@ void Kernel::restore_checkpoint(
   r.expect_tag(kTagKernelEnd, "kernel trailer");
 }
 
+namespace {
+
+/// The one run driver for both protocols. Sequential runs the single
+/// worker inline on the caller's thread — no thread, no pinning, and its
+/// barriers have one participant. Threaded runs worker i on its own thread
+/// with LP i. Either way the first exception any worker recorded is
+/// rethrown once every worker has finished.
+template <typename Run>
+void drive(Run& run, ExecutionMode mode, std::size_t lp_count, bool pin) {
+  if (mode == ExecutionMode::Sequential) {
+    run.worker(0, lp_count);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(lp_count);
+    for (std::size_t i = 0; i < lp_count; ++i)
+      threads.emplace_back([&run, i, pin] {
+        if (pin) util::pin_current_thread(static_cast<unsigned>(i));
+        run.worker(i, i + 1);
+      });
+    for (auto& t : threads) t.join();
+  }
+  if (auto first = run.failure.take()) std::rethrow_exception(first);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// SyncMode::GlobalWindow — lockstep windows [W, W + lookahead).
+//
+// Every worker loops: barrier A (completion `decide` fires due safepoints
+// and picks the next window from the LPs' queue heads), process each owned
+// LP's events below the window end, barrier B (completion `account` charges
+// the window and routes dirty sender/receiver pairs), then drain each owned
+// LP's inbox. Both completions run single-threaded with every worker
+// parked.
+// ---------------------------------------------------------------------------
+
+struct Kernel::WindowRun {
+  WindowRun(Kernel& kernel, SimTime end, int workers)
+      : k(kernel),
+        impl(*kernel.impl_),
+        end_time(end),
+        inv_bucket(1.0 / kernel.stats_.bucket_width),
+        barrier_a(workers, [this] { decide(); },
+                  kernel.tuning_.spin_iterations, kernel.tuning_.park_on_idle),
+        barrier_b(workers, [this] { account(); },
+                  kernel.tuning_.spin_iterations, kernel.tuning_.park_on_idle) {}
+
+  Kernel& k;
+  Impl& impl;
+  const SimTime end_time;
+  const double inv_bucket;
+  alignas(64) std::atomic<bool> stop{false};
+  SimTime window_end = 0;
+  FailureBox failure;
+  util::SpinBarrier barrier_a;
+  util::SpinBarrier barrier_b;
+
+  /// Per-LP step, first half: execute LP i's events below the window end
+  /// (the second half is drain_inboxes, after barrier B).
+  // massf-analyze: hot-path-root (per-LP window step)
+  void process(std::size_t i) {
+    impl.execute_below(i, window_end, k.cost_.per_event, inv_bucket, k.sink_);
+  }
+
+  /// Barrier A completion: fire every safepoint the run has fully caught up
+  /// to (all events before it executed, outboxes drained — the quiescent
+  /// state the hook contract promises), charging each one cluster-wide
+  /// rendezvous, then pick the next window from the LPs' queue heads —
+  /// never crossing a pending safepoint — or stop. With every worker
+  /// parked the queues are safe to read. A throwing hook is routed through
+  /// the FailureBox like any worker exception.
+  // massf-analyze: hot-path-root (window decision, once per window)
+  // massf-analyze: determinism-root (safepoint firing and window bounds)
+  void decide() noexcept {
+    SimTime global_min = impl.earliest_queued();
+    try {
+      while (k.next_safepoint() < end_time &&
+             global_min >= k.next_safepoint() &&
+             !failure.failed.load(std::memory_order_relaxed)) {
+        k.run_safepoint_hook(k.next_safepoint());
+        // Channel-mode runs charge theirs in ChannelRun::finish instead.
+        k.stats_.modeled_time += k.cost_.per_window_sync;
+        k.stats_.coupled_time += k.cost_.per_window_sync;
+        ++k.next_sp_;
+        // The hook may have rehomed events between queues.
+        global_min = impl.earliest_queued();
+      }
+    } catch (...) {
+      failure.record(std::current_exception());
+    }
+    if (global_min >= end_time || global_min == never() ||
+        failure.failed.load(std::memory_order_relaxed))
+      stop.store(true, std::memory_order_relaxed);
+    else
+      window_end =
+          std::min({global_min + k.lookahead_, end_time, k.next_safepoint()});
+  }
+
+  /// Barrier B completion: account the finished window — critical path =
+  /// max busy + barrier cost; the coupled (application) time additionally
+  /// floors each window at the simulated-time advance (live apps execute
+  /// in real time) — and route the dirty sender/receiver pairs for the
+  /// drain that follows.
+  // massf-analyze: hot-path-root (window accounting, once per window)
+  // massf-analyze: determinism-root (modeled-time accumulation)
+  void account() noexcept {
+    double max_busy = 0;
+    for (const Impl::Lp& lp : impl.lps)
+      max_busy = std::max(max_busy, lp.window_busy);
+    const double engine_time = max_busy + k.cost_.per_window_sync;
+    k.stats_.modeled_time += engine_time;
+    k.stats_.coupled_time +=
+        std::max(engine_time, window_end - k.sim_position_);
+    k.sim_position_ = window_end;
+    ++k.stats_.windows;
+    for (Impl::Lp& lp : impl.lps) {
+      lp.busy_total += lp.window_busy;
+      lp.window_busy = 0;
+    }
+    impl.flush_dirty_senders();
+  }
+
+  void worker(std::size_t first, std::size_t last) {
+    // Which barrier this worker owes next — lets the recovery path keep the
+    // phase protocol intact even when an event throws mid-window.
+    bool owes_barrier_b = false;
+    try {
+      while (true) {
+        barrier_a.arrive_and_wait();
+        if (stop.load(std::memory_order_relaxed)) break;
+        owes_barrier_b = true;
+        for (std::size_t i = first; i < last; ++i) process(i);
+        barrier_b.arrive_and_wait();
+        owes_barrier_b = false;
+        // Second half of the step: the receive cost lands in the next
+        // window's busy time — that is where the work happens.
+        for (std::size_t i = first; i < last; ++i)
+          impl.drain_inboxes(i, k.cost_.per_remote_message);
+      }
+    } catch (...) {
+      tl_current_lp = -1;
+      failure.record(std::current_exception());
+      // Keep participating in barriers until everyone observes the stop
+      // flag (decide stops on any failure), so no worker deadlocks waiting
+      // for us.
+      if (owes_barrier_b) barrier_b.arrive_and_wait();
+      while (!stop.load(std::memory_order_relaxed)) {
+        barrier_a.arrive_and_wait();
+        if (stop.load(std::memory_order_relaxed)) break;
+        barrier_b.arrive_and_wait();
+      }
+    }
+  }
+};
+
+// ---------------------------------------------------------------------------
+// SyncMode::ChannelLookahead — CMB-style per-channel safe-time advancement.
+//
+// Invariant: LP i may execute events with t < bound_i, where bound_i = min
+// over inbound channels (src → i) of clock_src + lookahead(src → i). A
+// sender's published clock never exceeds min(its queue head, its own
+// bound), so everything it executes later — and therefore everything it can
+// still send — has t >= clock + channel lookahead >= the receiver's bound.
+// Since every LP still executes its events in the unique (t, origin, seq)
+// order, per-LP histories (and thus history_hash) are bit-identical to
+// GlobalWindow runs in either execution mode.
+//
+// Idle spans are the protocol's weakness (clocks creep by one lookahead per
+// exchange — the classic null-message avalanche), so when no worker can
+// execute anything the run takes one rendezvous barrier, computes the
+// global earliest pending event, and jumps every clock there (or stops).
+// ---------------------------------------------------------------------------
+
+struct Kernel::ChannelRun {
+  /// Lock-free published clock, one cache line each so a publish never
+  /// invalidates a neighbour LP's slot.
+  struct alignas(64) ClockSlot {
+    std::atomic<SimTime> v{0.0};
+  };
+
+  ChannelRun(Kernel& kernel, SimTime end, int workers, bool timed)
+      : k(kernel),
+        impl(*kernel.impl_),
+        end_time(end),
+        inv_bucket(1.0 / kernel.stats_.bucket_width),
+        workers(workers),
+        timed(timed),
+        clocks(std::make_unique<ClockSlot[]>(impl.lps.size())),
+        rendezvous(workers, [this] { rendezvous_step(); },
+                   kernel.tuning_.spin_iterations, kernel.tuning_.park_on_idle) {}
+
+  Kernel& k;
+  Impl& impl;
+  const SimTime end_time;
+  const double inv_bucket;
+  const int workers;
+  /// Threaded runs measure each LP's stalled wall time (idle_wait_per_lp).
+  const bool timed;
+  const std::unique_ptr<ClockSlot[]> clocks;
+  /// Stall tokens: a worker with nothing safely executable parks one here
+  /// and waits. When all workers' tokens are present they meet in the
+  /// rendezvous barrier — the "barrier only for idle-jumps and termination"
+  /// fallback.
+  alignas(64) std::atomic<int> stalled{0};
+  alignas(64) std::atomic<bool> stop{false};
+  FailureBox failure;
+  util::SpinBarrier rendezvous;
+
+  /// Ring every LP's doorbell — used on the global transitions (last
+  /// staller, worker failure) that parked workers cannot observe through
+  /// their own inbound channels.
+  void signal_all() {
+    for (Impl::Lp& lp : impl.lps) lp.wake.signal();
+  }
+
+  /// The per-LP step: drain LP i's inbound channels while computing its
+  /// bound, execute everything safely below it, record the binding
+  /// channel's throttle, flush eligible outbox runs and publish the new
+  /// clock. Returns whether anything executed.
+  // massf-analyze: hot-path-root (per-LP channel advance)
+  bool advance(std::size_t i) {
+    Impl::Lp& lp = impl.lps[i];
+    // Loading the sender's clock with acquire *before* touching the run
+    // queue pairs with the sender's flush-then-release-publish: any run not
+    // yet visible here must carry events with t >= clock + lookahead, i.e.
+    // >= our bound.
+    SimTime bound = never();
+    Impl::Channel* limiter = nullptr;
+    for (std::uint32_t ci : impl.inbound[i]) {
+      Impl::Channel& ch = *impl.channels[ci];
+      const SimTime c = clocks[ch.src].v.load(std::memory_order_acquire);
+      impl.drain_channel(ch, lp, k.cost_.per_remote_message);
+      const SimTime b = c + ch.lookahead;
+      if (b < bound) {
+        bound = b;
+        limiter = &ch;
+      }
+    }
+    // Execution never crosses a pending safepoint (the clip, not the bound:
+    // throttle attribution below stays a per-channel property).
+    // next_safepoint() only moves inside the rendezvous completion, while
+    // every worker is parked in the same barrier.
+    const SimTime limit = std::min({bound, end_time, k.next_safepoint()});
+    const bool executed =
+        impl.execute_below(i, limit, k.cost_.per_event, inv_bucket, k.sink_);
+    if (executed) ++lp.advances;
+    // Throttle observability: a pending event this LP cares about is held
+    // unsafe by the binding channel; record who and by how much.
+    if (limiter != nullptr && !lp.queue.empty() &&
+        lp.queue.top().t < end_time && lp.queue.top().t >= bound) {
+      ++limiter->throttled;
+      limiter->max_lag = std::max(limiter->max_lag, lp.queue.top().t - bound);
+    }
+    // Flush before the release publish (see the drain comment above); the
+    // flush is forced when nothing ran — this LP is about to stall, and a
+    // parked receiver must never wait on a hoarded run.
+    const SimTime cap = impl.flush_channels(i, /*force=*/!executed);
+    lp.busy_total += lp.window_busy;
+    lp.window_busy = 0;
+    // Publish: nothing this LP will ever execute — hence send — precedes
+    // min(queue head, bound); hoarded runs additionally cap the promise at
+    // (earliest hoarded event − that channel's lookahead). Clocks are
+    // monotone.
+    const SimTime next = lp.queue.empty() ? never() : lp.queue.top().t;
+    const SimTime published = std::min({next, bound, cap});
+    if (published > clocks[i].v.load(std::memory_order_relaxed)) {
+      clocks[i].v.store(published, std::memory_order_release);
+      // Doorbell every receiver whose bound may have grown. A lone worker
+      // owns every receiver and never waits.
+      if (workers > 1)
+        for (std::uint32_t ci : impl.outbound[i])
+          impl.lps[impl.channels[ci]->dst].wake.signal();
+    }
+    return executed;
+  }
+
+  /// Earliest pending event anywhere (queues and in-flight channel runs):
+  /// the rendezvous GVT. Every worker is parked in the barrier and stalled
+  /// only after a forced flush, so the outboxes are empty and the channel
+  /// run queues are quiescent: walking them unsynchronized is safe and
+  /// complete.
+  SimTime global_next() const {
+    SimTime m = impl.earliest_queued();
+    for (const auto& ch : impl.channels)
+      for (Impl::Channel::RunNode* n =
+               ch->tail->next.load(std::memory_order_acquire);
+           n != nullptr; n = n->next.load(std::memory_order_acquire))
+        for (const Impl::Event& e : n->events) m = std::min(m, e.t);
+    return m;
+  }
+
+  /// Rendezvous completion. Safepoints the run has caught up to fire here
+  /// (gvt >= sp certifies that every pre-safepoint event has executed —
+  /// execution is clipped at sp), after force-draining the mailboxes so the
+  /// hook sees the full pending set in LP queues. Clocks then restart from
+  /// the safepoint time: migration may have handed an LP events earlier
+  /// than its published clock, and sp is a valid promise for every LP
+  /// because nothing pending precedes sp. Finally the run stops or jumps
+  /// every clock over the idle span. The completion is noexcept; a throwing
+  /// hook becomes a recorded failure and a stop, like any worker exception.
+  // massf-analyze: hot-path-root (rendezvous, once per idle jump)
+  // massf-analyze: determinism-root (safepoint firing and idle jumps)
+  void rendezvous_step() noexcept {
+    stalled.store(0, std::memory_order_relaxed);
+    if (failure.failed.load(std::memory_order_relaxed)) {
+      stop.store(true, std::memory_order_relaxed);
+      return;
+    }
+    const std::size_t lps = impl.lps.size();
+    SimTime gvt = global_next();
+    try {
+      while (k.next_safepoint() < end_time && gvt >= k.next_safepoint()) {
+        const SimTime sp = k.next_safepoint();
+        impl.drain_all_channels(k.cost_.per_remote_message);
+        k.run_safepoint_hook(sp);
+        ++k.next_sp_;
+        for (std::size_t i = 0; i < lps; ++i)
+          clocks[i].v.store(sp, std::memory_order_relaxed);
+        gvt = global_next();
+      }
+    } catch (...) {
+      failure.record(std::current_exception());
+      stop.store(true, std::memory_order_relaxed);
+      return;
+    }
+    if (gvt >= end_time || gvt == never()) {
+      stop.store(true, std::memory_order_relaxed);
+    } else {
+      for (std::size_t i = 0; i < lps; ++i)
+        if (clocks[i].v.load(std::memory_order_relaxed) < gvt)
+          clocks[i].v.store(gvt, std::memory_order_relaxed);
+      ++k.stats_.idle_jumps;
+    }
+  }
+
+  /// Park a stall token, then wait — spin, then park on `home`'s wait slot
+  /// — until the last staller rings everyone into the rendezvous (taken
+  /// before returning) or `wake_early()` holds (the token is withdrawn).
+  /// A lone worker is always the last staller, so it never spins or parks.
+  template <typename WakeEarly>
+  void stall(Impl::Lp& home, WakeEarly&& wake_early) {
+    if (stalled.fetch_add(1, std::memory_order_acq_rel) + 1 == workers)
+      signal_all();
+    util::SpinWait spin(k.tuning_.spin_iterations, k.tuning_.park_on_idle);
+    while (true) {
+      if (stalled.load(std::memory_order_acquire) == workers) {
+        rendezvous.arrive_and_wait();  // consumes our stall token
+        return;
+      }
+      if (wake_early()) {
+        stalled.fetch_sub(1, std::memory_order_acq_rel);
+        return;
+      }
+      if (spin.should_park()) {
+        // Eventcount handshake: snapshot the epoch, re-check both wake
+        // conditions, park. Every state change we could miss here is
+        // followed by a signal() to this slot, which either bumps the
+        // epoch before we sleep or wakes us after.
+        const std::uint32_t epoch = home.wake.prepare();
+        if (stalled.load(std::memory_order_acquire) != workers &&
+            !wake_early()) {
+          home.wake.park(epoch);
+          ++home.parks;
+        }
+        spin.reset();
+      }
+    }
+  }
+
+  void worker(std::size_t first, std::size_t last) {
+    // Only the Sequential worker owns several LPs, and it never waits, so
+    // the waiting state (wait slot, parks, idle wait) lives on `home`.
+    Impl::Lp& home = impl.lps[first];
+    try {
+      while (!stop.load(std::memory_order_acquire)) {
+        // Every inbound clock advance and run publish rings the doorbell
+        // after the fact, so an epoch that moved since this round began
+        // means new work may have arrived.
+        const std::uint32_t seen = home.wake.prepare();
+        bool executed = false;
+        for (std::size_t i = first; i < last; ++i) executed |= advance(i);
+        if (executed) continue;
+        std::chrono::steady_clock::time_point wait_start;
+        if (timed) wait_start = std::chrono::steady_clock::now();
+        stall(home, [&] { return home.wake.prepare() != seen; });
+        if (timed)
+          home.idle_wait += std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - wait_start)
+                                .count();
+      }
+    } catch (...) {
+      tl_current_lp = -1;
+      failure.record(std::current_exception());
+      // Publish infinite clocks — these LPs execute nothing further, so no
+      // event they could still send undercuts any receiver's bound — ring
+      // every doorbell, then keep the stall/rendezvous protocol alive until
+      // everyone sees stop. The token is re-parked every round because
+      // each rendezvous completion resets the counter.
+      for (std::size_t i = first; i < last; ++i)
+        clocks[i].v.store(never(), std::memory_order_release);
+      signal_all();
+      while (!stop.load(std::memory_order_acquire))
+        stall(home, [] { return false; });
+    }
+  }
+
+  /// Channel mode has no windows: the modeled critical path is the busiest
+  /// engine plus one rendezvous per idle-jump, per safepoint (a global
+  /// quiescent pause) and one final one for termination — the
+  /// perfect-overlap lower bound on cluster time (DESIGN.md §8 discusses
+  /// when this is and is not achievable). The coupled (application) time
+  /// is additionally floored by the simulated span, since live
+  /// applications execute through it in real time.
+  void finish() {
+    double max_busy = 0;
+    SimTime reached = 0;
+    for (const Impl::Lp& lp : impl.lps) {
+      max_busy = std::max(max_busy, lp.busy_total);
+      reached = std::max(reached, lp.max_time);
+    }
+    KernelStats& stats = k.stats_;
+    stats.modeled_time =
+        max_busy +
+        static_cast<double>(stats.idle_jumps + stats.safepoints + 1) *
+            k.cost_.per_window_sync;
+    const SimTime span = std::min(reached, end_time);
+    stats.coupled_time = std::max(stats.modeled_time, span);
+    k.sim_position_ = span;
+    for (const auto& ch : impl.channels)
+      stats.channels.push_back({static_cast<int>(ch->src),
+                                static_cast<int>(ch->dst), ch->lookahead,
+                                ch->delivered, ch->throttled, ch->max_lag});
+    std::sort(stats.channels.begin(), stats.channels.end(),
+              [](const ChannelStat& a, const ChannelStat& b) {
+                return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+              });
+  }
+};
+
 void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
   MASSF_REQUIRE(!ran_, "run_until may only be called once");
   MASSF_REQUIRE(end_time > 0, "end time must be positive");
@@ -1106,6 +1443,8 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
   stats_.sync_mode = sync_mode_;
   stats_.idle_wait_per_lp.assign(static_cast<std::size_t>(lp_count_), 0.0);
   impl_->flush_threshold = tuning_.outbox_flush_events;
+  // Sequential is one worker owning every LP, Threaded one worker per LP.
+  const int workers = mode == ExecutionMode::Sequential ? 1 : lp_count_;
 
   // Canonical safepoint schedule: ascending, duplicates coalesced (two
   // registrations at the same time are one quiescent pause).
@@ -1138,15 +1477,12 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
         for (int d = 0; d < lp_count_; ++d)
           if (s != d) impl_->ensure_channel(s, d, lookahead_);
     impl_->build_inbound();
-    if (mode == ExecutionMode::Sequential)
-      run_channel_sequential(end_time);
-    else
-      run_channel_threaded(end_time);
-    finalize_channel_run(end_time);
-  } else if (mode == ExecutionMode::Sequential) {
-    run_sequential(end_time);
+    ChannelRun run(*this, end_time, workers, mode == ExecutionMode::Threaded);
+    drive(run, mode, impl_->lps.size(), tuning_.pin_threads);
+    run.finish();
   } else {
-    run_threaded(end_time);
+    WindowRun run(*this, end_time, workers);
+    drive(run, mode, impl_->lps.size(), tuning_.pin_threads);
   }
 
   // Fold per-LP results into stats_.
@@ -1171,587 +1507,6 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
     row = impl_->lps[static_cast<std::size_t>(i)].series;
     row.resize(max_buckets, 0.0);
   }
-}
-
-void Kernel::run_sequential(SimTime end_time) {
-  auto& lps = impl_->lps;
-  const auto k = static_cast<std::size_t>(lp_count_);
-  const double inv_bucket = 1.0 / stats_.bucket_width;
-
-  auto earliest_pending = [&]() {
-    SimTime m = never();
-    for (auto& lp : lps)
-      if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
-    return m;
-  };
-
-  while (true) {
-    // Publish phase: earliest pending event across all LPs.
-    SimTime global_min = earliest_pending();
-    // Fire every safepoint the run has fully caught up to: all events
-    // before it executed, outboxes drained (end of the previous loop
-    // iteration) — the globally quiescent state the hook contract promises.
-    while (next_safepoint() < end_time && global_min >= next_safepoint()) {
-      fire_global_safepoint(next_safepoint());
-      global_min = earliest_pending();
-    }
-    if (global_min >= end_time || global_min == never()) break;
-
-    // Windows never cross a pending safepoint.
-    const SimTime window_end =
-        std::min({global_min + lookahead_, end_time, next_safepoint()});
-
-    // Process phase.
-    for (std::size_t i = 0; i < k; ++i) {
-      tl_current_lp = static_cast<int>(i);
-      Impl::Lp& lp = lps[i];
-      try {
-        Impl::process_window(lp, window_end, [&](Impl::Event& e) {
-          impl_->execute_event(lp, e, cost_.per_event, inv_bucket, sink_);
-        });
-      } catch (...) {
-        // Reset the execution context before propagating, or later kernels
-        // on this thread would inherit a stale current_lp/now.
-        tl_current_lp = -1;
-        throw;
-      }
-    }
-    tl_current_lp = -1;
-
-    // Account the window: critical path = max busy + barrier cost; the
-    // coupled (application) time additionally floors each window at the
-    // simulated-time advance (live apps execute in real time).
-    double max_busy = 0;
-    for (auto& lp : lps) max_busy = std::max(max_busy, lp.window_busy);
-    const double engine_time = max_busy + cost_.per_window_sync;
-    stats_.modeled_time += engine_time;
-    stats_.coupled_time +=
-        std::max(engine_time, window_end - sim_position_);
-    sim_position_ = window_end;
-    ++stats_.windows;
-    for (auto& lp : lps) {
-      lp.busy_total += lp.window_busy;
-      lp.window_busy = 0;
-    }
-
-    // Drain phase: deliver outboxes (the receive cost lands in the next
-    // window's busy time — that is where the work happens). Only pairs
-    // with actual traffic are visited.
-    impl_->flush_dirty_senders();
-    for (std::size_t dst = 0; dst < k; ++dst)
-      impl_->drain_inboxes(dst, cost_.per_remote_message);
-  }
-}
-
-void Kernel::run_threaded(SimTime end_time) {
-  auto& lps = impl_->lps;
-  const auto k = static_cast<std::size_t>(lp_count_);
-  const double inv_bucket = 1.0 / stats_.bucket_width;
-
-  std::atomic<bool> stop{false};
-  SimTime window_end = 0;
-  FailureBox failure;
-
-  // Barrier A (after publish/drain): pick the next window or stop. Runs
-  // single-threaded as the barrier completion with every worker parked —
-  // exactly the quiescent state the safepoint hook requires, so due
-  // safepoints fire here, mirroring the sequential loop top. The completion
-  // is noexcept; a throwing hook is routed through the FailureBox like any
-  // worker exception.
-  auto decide = [&]() noexcept {
-    auto recompute = [&]() {
-      SimTime m = never();
-      for (auto& lp : lps) m = std::min(m, lp.published_next);
-      return m;
-    };
-    SimTime global_min = recompute();
-    try {
-      while (next_safepoint() < end_time && global_min >= next_safepoint() &&
-             !failure.failed.load(std::memory_order_relaxed)) {
-        fire_global_safepoint(next_safepoint());
-        // The hook may have rehomed events between queues: republish every
-        // LP's head before re-deciding.
-        for (auto& lp : lps)
-          lp.published_next = lp.queue.empty() ? never() : lp.queue.top().t;
-        global_min = recompute();
-      }
-    } catch (...) {
-      failure.record(std::current_exception());
-    }
-    if (global_min >= end_time || global_min == never() ||
-        failure.failed.load(std::memory_order_relaxed))
-      stop.store(true, std::memory_order_relaxed);
-    else
-      window_end =
-          std::min({global_min + lookahead_, end_time, next_safepoint()});
-  };
-  // Barrier B (after processing): account the finished window and route
-  // dirty sender/destination pairs for the drain that follows.
-  auto account = [&]() noexcept {
-    double max_busy = 0;
-    for (auto& lp : lps) max_busy = std::max(max_busy, lp.window_busy);
-    const double engine_time = max_busy + cost_.per_window_sync;
-    stats_.modeled_time += engine_time;
-    stats_.coupled_time +=
-        std::max(engine_time, window_end - sim_position_);
-    sim_position_ = window_end;
-    ++stats_.windows;
-    for (auto& lp : lps) {
-      lp.busy_total += lp.window_busy;
-      lp.window_busy = 0;
-    }
-    impl_->flush_dirty_senders();
-  };
-
-  // Spin-then-park barriers (util::SpinBarrier): same completion-step
-  // semantics as the std::barrier they replace, but the idle policy is the
-  // kernel's own — bounded cpu_relax spin bridging the usual sub-µs window
-  // turnaround, futex parking for genuinely idle spans.
-  util::SpinBarrier barrier_a(static_cast<int>(k), decide,
-                              tuning_.spin_iterations, tuning_.park_on_idle);
-  util::SpinBarrier barrier_b(static_cast<int>(k), account,
-                              tuning_.spin_iterations, tuning_.park_on_idle);
-
-  auto worker = [&](std::size_t i) {
-    if (tuning_.pin_threads)
-      util::pin_current_thread(static_cast<unsigned>(i));
-    Impl::Lp& lp = lps[i];
-    // Which barrier this thread owes next — lets the recovery path keep the
-    // phase protocol intact even when a callback throws mid-window.
-    bool owes_barrier_b = false;
-    try {
-      lp.published_next = lp.queue.empty() ? never() : lp.queue.top().t;
-      while (true) {
-        barrier_a.arrive_and_wait();
-        if (stop.load(std::memory_order_relaxed)) break;
-        owes_barrier_b = true;
-        const SimTime limit = window_end;
-        tl_current_lp = static_cast<int>(i);
-        Impl::process_window(lp, limit, [&](Impl::Event& e) {
-          impl_->execute_event(lp, e, cost_.per_event, inv_bucket, sink_);
-        });
-        tl_current_lp = -1;
-        barrier_b.arrive_and_wait();
-        owes_barrier_b = false;
-        impl_->drain_inboxes(i, cost_.per_remote_message);
-        lp.published_next = lp.queue.empty() ? never() : lp.queue.top().t;
-      }
-    } catch (...) {
-      tl_current_lp = -1;
-      failure.record(std::current_exception());
-      // Keep participating in barriers (publishing "idle") until everyone
-      // observes the stop flag, so no thread deadlocks waiting for us.
-      lp.published_next = never();
-      if (owes_barrier_b) barrier_b.arrive_and_wait();
-      while (!stop.load(std::memory_order_relaxed)) {
-        barrier_a.arrive_and_wait();
-        if (stop.load(std::memory_order_relaxed)) break;
-        barrier_b.arrive_and_wait();
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) threads.emplace_back(worker, i);
-  for (auto& t : threads) t.join();
-  if (auto first = failure.take()) std::rethrow_exception(first);
-}
-
-// ---------------------------------------------------------------------------
-// SyncMode::ChannelLookahead — CMB-style per-channel safe-time advancement.
-//
-// Invariant shared by both renditions below: LP i may execute events with
-// t < bound_i, where bound_i = min over inbound channels (src → i) of
-// clock_src + lookahead(src → i). A sender's published clock never exceeds
-// min(its queue head, its own bound), so everything it executes later — and
-// therefore everything it can still send — has t >= clock + channel
-// lookahead >= the receiver's bound. Since every LP still executes its
-// events in the unique (t, origin, seq) order, per-LP histories (and thus
-// history_hash) are bit-identical to GlobalWindow runs in either execution
-// mode.
-//
-// Idle spans are the protocol's weakness (clocks creep by one lookahead per
-// exchange — the classic null-message avalanche), so when nothing is
-// executable anywhere the run takes one rendezvous barrier, computes the
-// global earliest pending event, and jumps every clock there (or stops).
-// ---------------------------------------------------------------------------
-
-void Kernel::run_channel_sequential(SimTime end_time) {
-  auto& lps = impl_->lps;
-  auto& channels = impl_->channels;
-  const auto k = static_cast<std::size_t>(lp_count_);
-  const double inv_bucket = 1.0 / stats_.bucket_width;
-
-  // Published clocks as plain doubles: Sequential is the canonical
-  // single-threaded rendition of the protocol — same advancement rule as
-  // the threaded atomics, same per-LP event order, same history hash.
-  std::vector<SimTime> clock(k, 0.0);
-
-  // Earliest pending event anywhere (queues and in-flight channel runs):
-  // the rendezvous GVT used for idle-jumps and termination. Outboxes need
-  // no scan — an all-idle round force-flushed every one of them.
-  auto global_next = [&]() {
-    SimTime m = never();
-    for (auto& lp : lps)
-      if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
-    for (auto& ch : channels)
-      for (Impl::Channel::RunNode* n =
-               ch->tail->next.load(std::memory_order_acquire);
-           n != nullptr; n = n->next.load(std::memory_order_acquire))
-        for (const Impl::Event& e : n->events) m = std::min(m, e.t);
-    return m;
-  };
-
-  while (true) {
-    bool any_executed = false;
-    for (std::size_t i = 0; i < k; ++i) {
-      Impl::Lp& lp = lps[i];
-      SimTime bound = never();
-      Impl::Channel* limiter = nullptr;
-      for (std::uint32_t ci : impl_->inbound[i]) {
-        Impl::Channel& ch = *channels[ci];
-        impl_->drain_channel(ch, lp, cost_.per_remote_message);
-        const SimTime b = clock[ch.src] + ch.lookahead;
-        if (b < bound) {
-          bound = b;
-          limiter = &ch;
-        }
-      }
-      // Execution never crosses a pending safepoint (the clip, not the
-      // bound: throttle attribution below stays a per-channel property).
-      const SimTime limit = std::min({bound, end_time, next_safepoint()});
-      bool executed = false;
-      tl_current_lp = static_cast<int>(i);
-      try {
-        Impl::process_window(lp, limit, [&](Impl::Event& e) {
-          executed = true;
-          impl_->execute_event(lp, e, cost_.per_event, inv_bucket, sink_);
-        });
-      } catch (...) {
-        // Reset the execution context before propagating, or later kernels
-        // on this thread would inherit a stale current_lp/now.
-        tl_current_lp = -1;
-        throw;
-      }
-      tl_current_lp = -1;
-      if (executed) {
-        ++lp.advances;
-        any_executed = true;
-      }
-      // Throttle observability: a pending event this LP cares about is held
-      // unsafe by the binding channel; record who and by how much.
-      if (limiter != nullptr && !lp.queue.empty() &&
-          lp.queue.top().t < end_time && lp.queue.top().t >= bound) {
-        ++limiter->throttled;
-        limiter->max_lag =
-            std::max(limiter->max_lag, lp.queue.top().t - bound);
-      }
-      // Flush eligible outbox runs; forced when this LP executed nothing
-      // (mirrors the threaded stall rule), so an all-idle round reaches the
-      // rendezvous below with every outbox empty.
-      const SimTime cap = impl_->flush_channels(i, /*force=*/!executed);
-      lp.busy_total += lp.window_busy;
-      lp.window_busy = 0;
-      // Publish: nothing this LP will ever execute — hence send — precedes
-      // min(queue head, bound); hoarded runs additionally cap the promise
-      // at (earliest hoarded event − that channel's lookahead). Clocks are
-      // monotone.
-      const SimTime next = lp.queue.empty() ? never() : lp.queue.top().t;
-      clock[i] = std::max(clock[i], std::min({next, bound, cap}));
-    }
-    if (!any_executed) {
-      // A full round executed nothing anywhere: rendezvous. Safepoints the
-      // run has caught up to (gvt >= sp means every event before sp has
-      // executed — nothing anywhere executes at or past a pending
-      // safepoint) fire here, after force-draining the mailboxes so the
-      // hook sees the full pending set in LP queues. Clocks then restart
-      // from the safepoint time: migration may have handed an LP events
-      // earlier than its published clock, and sp is a valid promise for
-      // every LP because nothing pending precedes sp.
-      SimTime gvt = global_next();
-      while (next_safepoint() < end_time && gvt >= next_safepoint()) {
-        const SimTime sp = next_safepoint();
-        impl_->drain_all_channels(cost_.per_remote_message);
-        run_safepoint_hook(sp);
-        ++next_sp_;
-        for (std::size_t i = 0; i < k; ++i) clock[i] = sp;
-        gvt = global_next();
-      }
-      if (gvt >= end_time || gvt == never()) break;
-      for (std::size_t i = 0; i < k; ++i) clock[i] = std::max(clock[i], gvt);
-      ++stats_.idle_jumps;
-    }
-  }
-}
-
-void Kernel::run_channel_threaded(SimTime end_time) {
-  auto& lps = impl_->lps;
-  auto& channels = impl_->channels;
-  const auto k = static_cast<std::size_t>(lp_count_);
-  const double inv_bucket = 1.0 / stats_.bucket_width;
-
-  // Lock-free published clocks, one cache line each so a publish never
-  // invalidates a neighbour LP's slot.
-  struct alignas(64) ClockSlot {
-    std::atomic<SimTime> v{0.0};
-  };
-  const auto clocks = std::make_unique<ClockSlot[]>(k);
-
-  // Stall accounting: an LP with nothing safely executable parks a token
-  // here and waits — bounded spin first, then a futex park on its wait
-  // slot. When all k tokens are present every worker heads into the
-  // rendezvous barrier, whose completion step — running with the whole
-  // kernel quiescent — either stops the run or jumps all clocks over the
-  // idle span. Exactly the "barrier only for termination detection and
-  // end-of-run" fallback.
-  std::atomic<int> stalled{0};
-  std::atomic<bool> stop{false};
-  FailureBox failure;
-
-  // Ring every LP's doorbell — used on the global transitions (all-k stall,
-  // worker failure) that parked workers cannot observe through their own
-  // inbound channels.
-  auto signal_all = [&]() {
-    for (auto& lp : lps) lp.wake.signal();
-  };
-
-  auto rendezvous_step = [&]() noexcept {
-    stalled.store(0, std::memory_order_relaxed);
-    if (failure.failed.load(std::memory_order_relaxed)) {
-      stop.store(true, std::memory_order_relaxed);
-      return;
-    }
-    auto global_next = [&]() {
-      SimTime m = never();
-      for (auto& lp : lps)
-        if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
-      // Every worker is parked in this barrier and stalled only after a
-      // forced flush, so the outboxes are empty and the channel run queues
-      // are quiescent: walking them unsynchronized is safe and complete.
-      for (auto& ch : channels)
-        for (Impl::Channel::RunNode* n =
-                 ch->tail->next.load(std::memory_order_acquire);
-             n != nullptr; n = n->next.load(std::memory_order_acquire))
-          for (const Impl::Event& e : n->events) m = std::min(m, e.t);
-      return m;
-    };
-    SimTime gvt = global_next();
-    // Safepoints fire here exactly as in the sequential rendezvous branch:
-    // with every worker parked, gvt >= sp certifies that all pre-safepoint
-    // events have executed (execution is clipped at sp), mailboxes are
-    // force-drained in the same channel order, and clocks restart from sp.
-    // The completion is noexcept; a throwing hook becomes a recorded
-    // failure and a stop, like any worker exception.
-    try {
-      while (next_safepoint() < end_time && gvt >= next_safepoint()) {
-        const SimTime sp = next_safepoint();
-        impl_->drain_all_channels(cost_.per_remote_message);
-        run_safepoint_hook(sp);
-        ++next_sp_;
-        for (std::size_t i = 0; i < k; ++i)
-          clocks[i].v.store(sp, std::memory_order_relaxed);
-        gvt = global_next();
-      }
-    } catch (...) {
-      failure.record(std::current_exception());
-      stop.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (gvt >= end_time || gvt == never()) {
-      stop.store(true, std::memory_order_relaxed);
-    } else {
-      for (std::size_t i = 0; i < k; ++i)
-        if (clocks[i].v.load(std::memory_order_relaxed) < gvt)
-          clocks[i].v.store(gvt, std::memory_order_relaxed);
-      ++stats_.idle_jumps;
-    }
-  };
-  util::SpinBarrier rendezvous(static_cast<int>(k), rendezvous_step,
-                               tuning_.spin_iterations, tuning_.park_on_idle);
-
-  auto worker = [&](std::size_t i) {
-    if (tuning_.pin_threads)
-      util::pin_current_thread(static_cast<unsigned>(i));
-    Impl::Lp& lp = lps[i];
-    const auto& in = impl_->inbound[i];
-    const auto& out = impl_->outbound[i];
-    std::vector<SimTime> snapshot(in.size(), 0.0);
-    try {
-      while (!stop.load(std::memory_order_acquire)) {
-        // Drain + bound. Loading the sender's clock with acquire *before*
-        // touching the run queue pairs with the sender's flush-then-
-        // release-publish: any run not yet visible here must carry events
-        // with t >= clock + lookahead, i.e. >= our bound.
-        SimTime bound = never();
-        Impl::Channel* limiter = nullptr;
-        for (std::uint32_t ci : in) {
-          Impl::Channel& ch = *channels[ci];
-          const SimTime c = clocks[ch.src].v.load(std::memory_order_acquire);
-          impl_->drain_channel(ch, lp, cost_.per_remote_message);
-          const SimTime b = c + ch.lookahead;
-          if (b < bound) {
-            bound = b;
-            limiter = &ch;
-          }
-        }
-        // next_safepoint() is only mutated inside the rendezvous completion
-        // while this thread is parked in the same barrier — safe to read.
-        const SimTime limit = std::min({bound, end_time, next_safepoint()});
-        bool executed = false;
-        tl_current_lp = static_cast<int>(i);
-        Impl::process_window(lp, limit, [&](Impl::Event& e) {
-          executed = true;
-          impl_->execute_event(lp, e, cost_.per_event, inv_bucket, sink_);
-        });
-        tl_current_lp = -1;
-        if (executed) ++lp.advances;
-        if (limiter != nullptr && !lp.queue.empty() &&
-            lp.queue.top().t < end_time && lp.queue.top().t >= bound) {
-          ++limiter->throttled;
-          limiter->max_lag =
-              std::max(limiter->max_lag, lp.queue.top().t - bound);
-        }
-        // Flush before the release publish (see drain comment above); the
-        // flush is forced when nothing ran — this LP is about to stall, and
-        // a parked receiver must never wait on a hoarded run.
-        const SimTime cap = impl_->flush_channels(i, /*force=*/!executed);
-        lp.busy_total += lp.window_busy;
-        lp.window_busy = 0;
-        const SimTime next = lp.queue.empty() ? never() : lp.queue.top().t;
-        const SimTime published = std::min({next, bound, cap});
-        if (published > clocks[i].v.load(std::memory_order_relaxed)) {
-          clocks[i].v.store(published, std::memory_order_release);
-          // Doorbell every receiver whose bound may have grown.
-          for (std::uint32_t ci : out) lps[channels[ci]->dst].wake.signal();
-        }
-        if (executed) continue;
-
-        // Stall: nothing safely executable. Spin, then park on the wait
-        // slot until an inbound clock moves, a run arrives, or the k-th
-        // staller rings everyone into the rendezvous. A safepoint may have
-        // registered new inbound channels since the last stall, so the
-        // snapshot buffer is re-sized to the live list each time.
-        snapshot.resize(in.size());
-        for (std::size_t c = 0; c < in.size(); ++c)
-          snapshot[c] =
-              clocks[channels[in[c]]->src].v.load(std::memory_order_relaxed);
-        auto has_work = [&]() {
-          for (std::size_t c = 0; c < in.size(); ++c) {
-            Impl::Channel& ch = *channels[in[c]];
-            if (ch.tail->next.load(std::memory_order_relaxed) != nullptr ||
-                clocks[ch.src].v.load(std::memory_order_relaxed) !=
-                    snapshot[c])
-              return true;
-          }
-          return false;
-        };
-        const auto wait_start = std::chrono::steady_clock::now();
-        if (stalled.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            static_cast<int>(k))
-          signal_all();
-        util::SpinWait spin(tuning_.spin_iterations, tuning_.park_on_idle);
-        while (true) {
-          if (stalled.load(std::memory_order_acquire) ==
-              static_cast<int>(k)) {
-            rendezvous.arrive_and_wait();  // consumes our stall token
-            break;
-          }
-          if (has_work()) {
-            stalled.fetch_sub(1, std::memory_order_acq_rel);
-            break;
-          }
-          if (spin.should_park()) {
-            // Eventcount handshake: snapshot the epoch, re-check both wake
-            // conditions, park. Every state change we could miss here is
-            // followed by a signal() to this slot, which either bumps the
-            // epoch before we sleep or wakes us after.
-            const std::uint32_t epoch = lp.wake.prepare();
-            if (stalled.load(std::memory_order_acquire) !=
-                    static_cast<int>(k) &&
-                !has_work()) {
-              lp.wake.park(epoch);
-              ++lp.parks;
-            }
-            spin.reset();
-          }
-        }
-        lp.idle_wait += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wait_start)
-                            .count();
-      }
-    } catch (...) {
-      tl_current_lp = -1;
-      failure.record(std::current_exception());
-      // Publish an infinite clock — this LP executes nothing further, so no
-      // event it could still send undercuts any receiver's bound — ring
-      // every doorbell, then keep the stall/rendezvous protocol alive until
-      // everyone sees stop. The token is re-parked every round because each
-      // rendezvous completion resets the counter.
-      clocks[i].v.store(never(), std::memory_order_release);
-      signal_all();
-      while (!stop.load(std::memory_order_acquire)) {
-        if (stalled.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            static_cast<int>(k))
-          signal_all();
-        util::SpinWait spin(tuning_.spin_iterations, tuning_.park_on_idle);
-        while (!stop.load(std::memory_order_acquire) &&
-               stalled.load(std::memory_order_acquire) !=
-                   static_cast<int>(k)) {
-          if (spin.should_park()) {
-            const std::uint32_t epoch = lp.wake.prepare();
-            if (!stop.load(std::memory_order_acquire) &&
-                stalled.load(std::memory_order_acquire) !=
-                    static_cast<int>(k)) {
-              lp.wake.park(epoch);
-              ++lp.parks;
-            }
-            spin.reset();
-          }
-        }
-        if (stop.load(std::memory_order_acquire)) break;
-        rendezvous.arrive_and_wait();
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) threads.emplace_back(worker, i);
-  for (auto& t : threads) t.join();
-  if (auto first = failure.take()) std::rethrow_exception(first);
-}
-
-void Kernel::finalize_channel_run(SimTime end_time) {
-  // Channel mode has no windows: the modeled critical path is the busiest
-  // engine plus one rendezvous per idle-jump and one final one for
-  // termination — the perfect-overlap lower bound on cluster time
-  // (DESIGN.md §8 discusses when this is and is not achievable). The
-  // coupled (application) time is additionally floored by the simulated
-  // span, since live applications execute through it in real time.
-  double max_busy = 0;
-  SimTime reached = 0;
-  for (const Impl::Lp& lp : impl_->lps) {
-    max_busy = std::max(max_busy, lp.busy_total);
-    reached = std::max(reached, lp.max_time);
-  }
-  // Safepoints are rendezvous too (global quiescent pauses), so each one
-  // contributes the same per_window_sync an idle-jump does.
-  stats_.modeled_time =
-      max_busy + static_cast<double>(stats_.idle_jumps + stats_.safepoints +
-                                     1) *
-                     cost_.per_window_sync;
-  const SimTime span = std::min(reached, end_time);
-  stats_.coupled_time = std::max(stats_.modeled_time, span);
-  sim_position_ = span;
-  for (const auto& ch : impl_->channels)
-    stats_.channels.push_back({static_cast<int>(ch->src),
-                               static_cast<int>(ch->dst), ch->lookahead,
-                               ch->delivered, ch->throttled, ch->max_lag});
-  std::sort(stats_.channels.begin(), stats_.channels.end(),
-            [](const ChannelStat& a, const ChannelStat& b) {
-              return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-            });
 }
 
 }  // namespace massf::des

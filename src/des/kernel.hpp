@@ -18,10 +18,12 @@
 // link latency: a larger lookahead means wider windows, fewer barriers, and
 // more concurrency (§2.2.3).
 //
-// The kernel runs in two modes that produce bit-identical event histories:
-// Sequential (default; benches use it for determinism) and Threaded (one
-// std::thread per LP with std::barrier synchronization, demonstrating real
-// parallel execution).
+// The kernel runs in two modes that produce bit-identical event histories.
+// Both execute the same per-LP step of the chosen protocol through one
+// driver: Sequential (default; benches use it for determinism) is one worker
+// owning every LP on the caller's thread, Threaded is one std::thread per LP
+// synchronizing through spin-then-park barriers (real parallel execution).
+// Every event is a typed PacketEvent dispatched to the registered EventSink.
 //
 // Two synchronization protocols are available (SyncMode):
 //
@@ -66,7 +68,6 @@ class Reader;
 namespace massf::des {
 
 using SimTime = double;
-using Callback = std::function<void()>;
 
 /// POD payload of a packet-hop event: an opaque pool-owned record plus the
 /// node it arrives at. The kernel never inspects `payload`; it hands the
@@ -79,9 +80,9 @@ struct PacketEvent {
   std::int32_t node = -1;
 };
 
-/// Receiver of packet-hop events (the emulator). Registered once before
+/// Receiver of every kernel event (the emulator). Registered once before
 /// run_until(); invoked on the executing LP's thread with now() and
-/// current_lp() set, exactly like a Callback event. Must outlive the run.
+/// current_lp() set. Must outlive the run.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -130,7 +131,7 @@ inline constexpr std::uint32_t kOutboxFlushEvents = 16;
 inline constexpr std::uint32_t kSpinIterationsBeforePark = 2048;
 
 /// Wall-clock execution knobs (never affect the event history — only how
-/// fast the threaded runners get through it). Defaults are the tuned fast
+/// fast threaded runs get through it). Defaults are the tuned fast
 /// path; bench_wallclock selects pre-change-shaped baselines through this
 /// struct for its A/B gate.
 struct KernelTuning {
@@ -282,8 +283,8 @@ class Kernel {
   ///     the global lookahead (ChannelLookahead then degrades gracefully;
   ///     GlobalWindow is unaffected).
   ///   * Any channel registered: the channel graph is exactly the
-  ///     registered pairs. schedule_remote / schedule_packet_remote to an
-  ///     unregistered pair is rejected, and remote sends validate against
+  ///     registered pairs. schedule_packet_remote to an unregistered pair
+  ///     is rejected, and remote sends validate against
   ///     the *channel's* lookahead rather than the global one (this also
   ///     tightens GlobalWindow-mode validation — safe, since per-pair
   ///     lookaheads are >= the global minimum by construction).
@@ -302,35 +303,25 @@ class Kernel {
   /// rejected).
   double channel_lookahead(int src, int dst) const;
 
-  /// Schedule an event on LP `lp` at absolute time `t`.
-  /// Before run_until(): any LP may be targeted (initial event population).
-  /// During execution: only the currently executing LP may be targeted
-  /// (same-engine hop); use schedule_remote for other LPs.
-  ///
-  /// `key` is the event's rehome key (see rehome_events): callers that want
-  /// the event to follow a migratable entity (the emulator passes the
-  /// owning virtual-node id) set it; the default -1 pins the event to the
-  /// LP it was scheduled on. Packet events are keyed implicitly by
-  /// PacketEvent::node.
-  void schedule(int lp, SimTime t, Callback fn, std::int32_t key = -1);
-
-  /// Schedule onto another LP from inside an executing event. Requires
-  /// t >= now() + lookahead() (conservative safety; the emulator satisfies
-  /// this because cross-partition link latencies are >= lookahead).
-  /// `key`: rehome key, as in schedule().
-  void schedule_remote(int to_lp, SimTime t, Callback fn,
-                       std::int32_t key = -1);
-
-  /// Register the sink that receives packet events. Required before any
+  /// Register the sink that receives every event. Required before any
   /// schedule_packet/schedule_packet_remote call; the sink is not owned.
   void set_event_sink(EventSink* sink);
   EventSink* event_sink() const { return sink_; }
 
-  /// Allocation-free variants of schedule/schedule_remote: the event
-  /// carries the POD PacketEvent inline instead of a heap-backed closure
-  /// and is dispatched to the registered EventSink. Same targeting and
-  /// lookahead rules as the Callback variants.
+  /// Schedule an event on LP `lp` at absolute time `t`; it carries the POD
+  /// PacketEvent inline (no allocation) and is dispatched to the sink.
+  /// Before run_until(): any LP may be targeted (initial event population).
+  /// During execution: only the currently executing LP may be targeted
+  /// (same-engine hop); use schedule_packet_remote for other LPs.
+  ///
+  /// PacketEvent::node is the event's rehome key (see rehome_events): the
+  /// emulator passes the owning virtual-node id so the event follows a
+  /// migrating node; -1 pins the event to the LP it was scheduled on.
   void schedule_packet(int lp, SimTime t, PacketEvent event);
+
+  /// Schedule onto another LP from inside an executing event. Requires
+  /// t >= now() + lookahead() (conservative safety; the emulator satisfies
+  /// this because cross-partition link latencies are >= lookahead).
   void schedule_packet_remote(int to_lp, SimTime t, PacketEvent event);
 
   /// The LP whose event is currently executing on this thread (-1 outside
@@ -344,7 +335,7 @@ class Kernel {
   // ---- Safepoints (live rebalancing) ------------------------------------
   //
   // A safepoint is a globally quiescent pause at simulation time `sp`:
-  // every runner (both SyncModes × both ExecutionModes) clips event
+  // every run (both SyncModes × both ExecutionModes) clips event
   // execution strictly below the next pending safepoint, and once every
   // event with t < sp has executed — and, under ChannelLookahead, every
   // in-flight mailbox has been force-drained into its receiver's queue —
@@ -372,8 +363,7 @@ class Kernel {
   bool in_safepoint() const { return in_safepoint_; }
 
   /// Move every pending keyed event to the LP `target_of(key)` (keys are
-  /// PacketEvent::node for packet events, the schedule() key otherwise;
-  /// key -1 events are pinned and never move). target_of must return a
+  /// PacketEvent::node; key -1 events are pinned and never move). target_of must return a
   /// valid LP index for every key it is shown. Returns the number of events
   /// moved. Hook-only.
   std::uint64_t rehome_events(const std::function<int(std::int32_t)>& target_of);
@@ -392,7 +382,7 @@ class Kernel {
   // ---- Checkpoint / restore ---------------------------------------------
   //
   // A checkpoint captures the complete kernel run state at a safepoint —
-  // per-LP event queues (packet events only), counters, history-hash
+  // per-LP event queues, counters, history-hash
   // streams, load series, the channel graph with its per-channel stats, and
   // the live aggregate counters — such that a freshly built kernel restored
   // from it and run to the same end_time produces a bit-identical
@@ -404,9 +394,7 @@ class Kernel {
   /// Serialize the kernel run state into `w`. Hook-only (the quiescent
   /// single-threaded pause is what makes the state well defined).
   /// `save_payload` serializes one PacketEvent payload (the emulator writes
-  /// the pool-owned Packet record). Pending Callback events are rejected
-  /// with an actionable error — closures cannot be serialized; emulator-
-  /// internal control flow uses typed control packets instead.
+  /// the pool-owned Packet record).
   void save_checkpoint(
       ckpt::Writer& w,
       const std::function<void(ckpt::Writer&, const PacketEvent&)>&
@@ -419,6 +407,10 @@ class Kernel {
   /// payloads — and `load_payload` reconstructs each checkpointed payload.
   /// Safepoints registered at or before the checkpoint time are skipped by
   /// the subsequent run_until (they already fired in the original run).
+  /// A snapshot whose counts exceed its remaining bytes is rejected with
+  /// ckpt::CkptError before anything is allocated; pending events with a
+  /// non-finite time, a time before the resume time, or an out-of-range
+  /// origin LP are rejected like any other shape mismatch.
   void restore_checkpoint(
       ckpt::Reader& r,
       const std::function<void*(ckpt::Reader&)>& load_payload,
@@ -441,21 +433,18 @@ class Kernel {
 
  private:
   struct Impl;
-
-  void run_sequential(SimTime end_time);
-  void run_threaded(SimTime end_time);
-  void run_channel_sequential(SimTime end_time);
-  void run_channel_threaded(SimTime end_time);
-  void finalize_channel_run(SimTime end_time);
-  double remote_lookahead(int to_lp) const;
+  // One run of each protocol: its per-LP step and single-threaded
+  // completions, driven by the shared worker driver (kernel.cpp).
+  struct WindowRun;
+  struct ChannelRun;
 
   /// Next pending safepoint time, or never() when the schedule is spent.
-  SimTime next_safepoint() const;
+  SimTime next_safepoint() const {
+    return next_sp_ < safepoints_.size() ? safepoints_[next_sp_] : never();
+  }
   /// Run the hook (if any) with the in_safepoint gate raised; counts the
-  /// safepoint. Shared by all four runners.
+  /// safepoint. Shared by both protocols.
   void run_safepoint_hook(SimTime sp);
-  /// GlobalWindow firing: hook + per-safepoint sync charge + advance.
-  void fire_global_safepoint(SimTime sp);
 
   int lp_count_;
   double lookahead_;

@@ -171,6 +171,10 @@ class SpinBarrier {
   SpinBarrier& operator=(const SpinBarrier&) = delete;
 
   void arrive_and_wait() noexcept {
+    if (n_ == 1) {  // a lone participant is always the last to arrive
+      if (completion_) completion_();
+      return;
+    }
     const std::uint32_t phase = phase_.load(std::memory_order_acquire);
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
       arrived_.store(0, std::memory_order_relaxed);

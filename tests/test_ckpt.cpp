@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 
 #include "ckpt/ckpt.hpp"
 #include "core/pipeline.hpp"
+#include "des/kernel.hpp"
 #include "emu/emulator.hpp"
 #include "fault/fault.hpp"
 #include "topology/topologies.hpp"
@@ -330,23 +332,6 @@ TEST(SafepointEdge, DuplicateSafepointsCoalesceIntoOnePause) {
 // Checkpoint content errors and retention
 // ---------------------------------------------------------------------------
 
-TEST(Checkpoint, RejectsPendingClosuresWithActionableError) {
-  TinyNet fx;
-  emu::Emulator emu = fx.make({0, 0, 1, 1}, 2);
-  emu.send_message(fx.a, fx.b, 4000, 0, 0.5);
-  // A raw closure pending at the snapshot instant cannot be serialized.
-  emu.schedule_on_host(fx.a, 7.0, [] {});
-  emu.set_checkpoint_schedule(schedule(fresh_dir("closure"), 5.0), 10.0);
-  try {
-    emu.run(10.0);
-    FAIL() << "expected the pending closure to be rejected";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("closure"), std::string::npos) << what;
-    EXPECT_NE(what.find("set_timer"), std::string::npos) << what;
-  }
-}
-
 TEST(Checkpoint, PruneKeepsOnlyTheNewestSnapshots) {
   TinyNet fx;
   const std::string dir = fresh_dir("prune");
@@ -390,6 +375,120 @@ TEST(Checkpoint, RestoreRejectsAMismatchedEmulator) {
   emu::Emulator right = fx.make({0, 0, 1, 1}, 2);
   ckpt::Reader r2 = ckpt::Reader::from_file(snaps.back().second);
   EXPECT_DOUBLE_EQ(right.restore(r2), 5.0);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel restore validation on crafted snapshots
+// ---------------------------------------------------------------------------
+
+/// A minimal well-formed kernel snapshot in the layout
+/// Kernel::save_checkpoint writes: two LPs, GlobalWindow, default cost
+/// model, resumed at t = 5, one channel 0 → 1, and on LP 0 one load-series
+/// bucket plus one pending event. Each field below corrupts one thing.
+struct CraftedSnapshot {
+  std::uint64_t channel_count = 1;
+  std::uint64_t series_count = 1;
+  std::uint64_t pending_count = 1;
+  double event_t = 6.0;
+  std::uint32_t event_origin = 1;
+
+  ckpt::Reader reader() const {
+    const des::CostModel cost;
+    ckpt::Writer w;
+    w.tag(0x6b726e6c);  // "krnl"
+    w.u32(2);           // LP count
+    w.u8(static_cast<std::uint8_t>(des::SyncMode::GlobalWindow));
+    w.f64(cost.per_event);
+    w.f64(cost.per_remote_message);
+    w.f64(cost.per_window_sync);
+    w.f64(1.0);  // global lookahead
+    w.f64(2.0);  // load-series bucket width
+    w.f64(5.0);  // simulated time already charged
+    w.f64(5.0);  // resume time
+    for (int i = 0; i < 4; ++i) w.u64(0);  // windows … events rehomed
+    w.f64(0);                              // modeled time
+    w.f64(0);                              // coupled time
+    w.tag(0x6b636873);                     // "kchs"
+    w.u64(channel_count);
+    w.u32(0);    // src
+    w.u32(1);    // dst
+    w.f64(1.0);  // lookahead
+    w.u64(0);    // delivered
+    w.u64(0);    // throttled
+    w.f64(0);    // max lag
+    for (int lp = 0; lp < 2; ++lp) {
+      w.tag(0x6b6c7073);                      // "klps"
+      for (int i = 0; i < 12; ++i) w.u64(0);  // per-LP counters
+      w.u64(lp == 0 ? series_count : 0);
+      if (lp == 0) w.f64(0);  // the one bucket
+      w.u64(lp == 0 ? pending_count : 0);
+      if (lp == 0) {
+        w.f64(event_t);
+        w.u32(event_origin);
+        w.u64(0);   // seq
+        w.i64(-1);  // node (pinned); the payload itself is empty
+      }
+    }
+    w.tag(0x6b656e64);  // "kend"
+    return ckpt::Reader(w.payload(), "crafted");
+  }
+};
+
+class CountingSink : public des::EventSink {
+ public:
+  void on_packet_event(const des::PacketEvent&) override { ++events; }
+  int events = 0;
+};
+
+void restore_crafted(des::Kernel& kernel, const CraftedSnapshot& snapshot) {
+  ckpt::Reader r = snapshot.reader();
+  kernel.restore_checkpoint(
+      r, [](ckpt::Reader&) -> void* { return nullptr; }, [](void*) {});
+}
+
+TEST(CheckpointRestore, AcceptsAWellFormedCraftedSnapshot) {
+  des::Kernel kernel(2, 1.0);
+  CountingSink sink;
+  kernel.set_event_sink(&sink);
+  restore_crafted(kernel, CraftedSnapshot{});
+  EXPECT_DOUBLE_EQ(kernel.resume_time(), 5.0);
+  kernel.run_until(10.0);
+  EXPECT_EQ(sink.events, 1);
+  EXPECT_EQ(kernel.stats().events_per_lp[0], 1u);
+}
+
+TEST(CheckpointRestore, RejectsCountsTheSnapshotCannotHold) {
+  // Each count is well framed (the payload is built, not flipped) but
+  // claims more elements than the remaining bytes could encode: the reader
+  // error, raised before anything is sized from the count.
+  for (const std::uint64_t huge : {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    CraftedSnapshot channels;
+    channels.channel_count = huge;
+    CraftedSnapshot series;
+    series.series_count = huge;
+    CraftedSnapshot pending;
+    pending.pending_count = huge;
+    for (const CraftedSnapshot* bad : {&channels, &series, &pending}) {
+      des::Kernel kernel(2, 1.0);
+      EXPECT_THROW(restore_crafted(kernel, *bad), ckpt::CkptError);
+    }
+  }
+}
+
+TEST(CheckpointRestore, RejectsPendingEventsItCannotResume) {
+  CraftedSnapshot nan_time;
+  nan_time.event_t = std::numeric_limits<double>::quiet_NaN();
+  CraftedSnapshot infinite_time;
+  infinite_time.event_t = std::numeric_limits<double>::infinity();
+  CraftedSnapshot before_resume;
+  before_resume.event_t = 4.0;  // the snapshot resumes at t = 5
+  CraftedSnapshot bad_origin;
+  bad_origin.event_origin = 2;  // only LPs 0 and 1 exist
+  for (const CraftedSnapshot* bad :
+       {&nan_time, &infinite_time, &before_resume, &bad_origin}) {
+    des::Kernel kernel(2, 1.0);
+    EXPECT_THROW(restore_crafted(kernel, *bad), std::invalid_argument);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@
 #include <vector>
 
 #include "des/kernel.hpp"
+#include "closure_sink.hpp"
 
 namespace massf::des {
 namespace {
 
 TEST(Kernel, EventsRunInTimestampOrderPerLp) {
   Kernel kernel(1, 0.5);
+  ClosureSink closures(kernel);
   std::vector<double> order;
-  kernel.schedule(0, 3.0, [&] { order.push_back(3.0); });
-  kernel.schedule(0, 1.0, [&] { order.push_back(1.0); });
-  kernel.schedule(0, 2.0, [&] { order.push_back(2.0); });
+  closures.schedule(0, 3.0, [&] { order.push_back(3.0); });
+  closures.schedule(0, 1.0, [&] { order.push_back(1.0); });
+  closures.schedule(0, 2.0, [&] { order.push_back(2.0); });
   kernel.run_until(10.0);
   EXPECT_EQ(order, (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(kernel.stats().events_per_lp[0], 3u);
@@ -27,17 +29,19 @@ TEST(Kernel, EventsRunInTimestampOrderPerLp) {
 
 TEST(Kernel, SameTimeEventsRunInScheduleOrder) {
   Kernel kernel(1, 0.5);
+  ClosureSink closures(kernel);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i)
-    kernel.schedule(0, 1.0, [&order, i] { order.push_back(i); });
+    closures.schedule(0, 1.0, [&order, i] { order.push_back(i); });
   kernel.run_until(10.0);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(Kernel, ChildEventsInSameWindowRun) {
   Kernel kernel(1, 1.0);
+  ClosureSink closures(kernel);
   std::vector<double> times;
-  kernel.schedule(0, 0.5, [&] {
+  closures.schedule(0, 0.5, [&] {
     times.push_back(0.5);
     // Schedules within the current window: must still execute.
     // (now=0.5, window end >= 1.5 > 0.9)
@@ -48,27 +52,30 @@ TEST(Kernel, ChildEventsInSameWindowRun) {
 
 TEST(Kernel, NowReflectsEventTime) {
   Kernel kernel(1, 0.5);
+  ClosureSink closures(kernel);
   double seen = -1;
-  kernel.schedule(0, 2.25, [&] { seen = kernel.now(); });
+  closures.schedule(0, 2.25, [&] { seen = kernel.now(); });
   kernel.run_until(10.0);
   EXPECT_DOUBLE_EQ(seen, 2.25);
 }
 
 TEST(Kernel, EndTimeExcludesLaterEvents) {
   Kernel kernel(1, 0.5);
+  ClosureSink closures(kernel);
   int ran = 0;
-  kernel.schedule(0, 1.0, [&] { ++ran; });
-  kernel.schedule(0, 5.0, [&] { ++ran; });
+  closures.schedule(0, 1.0, [&] { ++ran; });
+  closures.schedule(0, 5.0, [&] { ++ran; });
   kernel.run_until(5.0);  // strictly-before semantics
   EXPECT_EQ(ran, 1);
 }
 
 TEST(Kernel, RemoteNeedsLookahead) {
   Kernel kernel(2, 1.0);
+  ClosureSink closures(kernel);
   bool violated_caught = false;
-  kernel.schedule(0, 1.0, [&] {
+  closures.schedule(0, 1.0, [&] {
     try {
-      kernel.schedule_remote(1, 1.5, [] {});  // < now + lookahead
+      closures.schedule_remote(1, 1.5, [] {});  // < now + lookahead
     } catch (const std::invalid_argument&) {
       violated_caught = true;
     }
@@ -79,9 +86,10 @@ TEST(Kernel, RemoteNeedsLookahead) {
 
 TEST(Kernel, RemoteDeliveryExecutes) {
   Kernel kernel(2, 1.0);
+  ClosureSink closures(kernel);
   double delivered_at = -1;
-  kernel.schedule(0, 1.0, [&] {
-    kernel.schedule_remote(1, 2.5, [&] { delivered_at = kernel.now(); });
+  closures.schedule(0, 1.0, [&] {
+    closures.schedule_remote(1, 2.5, [&] { delivered_at = kernel.now(); });
   });
   kernel.run_until(10.0);
   EXPECT_DOUBLE_EQ(delivered_at, 2.5);
@@ -91,10 +99,11 @@ TEST(Kernel, RemoteDeliveryExecutes) {
 
 TEST(Kernel, ScheduleDuringRunOnlyTargetsOwnLp) {
   Kernel kernel(2, 1.0);
+  ClosureSink closures(kernel);
   bool caught = false;
-  kernel.schedule(0, 1.0, [&] {
+  closures.schedule(0, 1.0, [&] {
     try {
-      kernel.schedule(1, 5.0, [] {});
+      closures.schedule(1, 5.0, [] {});
     } catch (const std::invalid_argument&) {
       caught = true;
     }
@@ -105,10 +114,11 @@ TEST(Kernel, ScheduleDuringRunOnlyTargetsOwnLp) {
 
 TEST(Kernel, CannotScheduleIntoPast) {
   Kernel kernel(1, 1.0);
+  ClosureSink closures(kernel);
   bool caught = false;
-  kernel.schedule(0, 2.0, [&] {
+  closures.schedule(0, 2.0, [&] {
     try {
-      kernel.schedule(0, 1.0, [] {});
+      closures.schedule(0, 1.0, [] {});
     } catch (const std::invalid_argument&) {
       caught = true;
     }
@@ -120,8 +130,9 @@ TEST(Kernel, CannotScheduleIntoPast) {
 TEST(Kernel, IdleSpansAreSkipped) {
   // Two events 1000 lookaheads apart must not cost 1000 windows.
   Kernel kernel(1, 1.0);
-  kernel.schedule(0, 0.0, [] {});
-  kernel.schedule(0, 1000.0, [] {});
+  ClosureSink closures(kernel);
+  closures.schedule(0, 0.0, [] {});
+  closures.schedule(0, 1000.0, [] {});
   kernel.run_until(2000.0);
   EXPECT_LE(kernel.stats().windows, 4u);
 }
@@ -132,7 +143,8 @@ TEST(Kernel, ModeledTimeTracksCostModel) {
   cost.per_remote_message = 0;
   cost.per_window_sync = 1e-2;
   Kernel kernel(1, 1.0, cost);
-  for (int i = 0; i < 10; ++i) kernel.schedule(0, 0.5, [] {});
+  ClosureSink closures(kernel);
+  for (int i = 0; i < 10; ++i) closures.schedule(0, 0.5, [] {});
   kernel.run_until(10.0);
   // One window: 10 events * 1ms + 1 sync * 10ms.
   EXPECT_NEAR(kernel.stats().modeled_time, 10 * 1e-3 + 1e-2, 1e-12);
@@ -141,10 +153,11 @@ TEST(Kernel, ModeledTimeTracksCostModel) {
 
 TEST(Kernel, LoadSeriesBucketsBySimTime) {
   Kernel kernel(1, 10.0);
+  ClosureSink closures(kernel);
   kernel.set_bucket_width(1.0);
-  kernel.schedule(0, 0.5, [] {});
-  kernel.schedule(0, 2.5, [] {});
-  kernel.schedule(0, 2.75, [] {});
+  closures.schedule(0, 0.5, [] {});
+  closures.schedule(0, 2.5, [] {});
+  closures.schedule(0, 2.75, [] {});
   kernel.run_until(10.0);
   const auto& series = kernel.stats().load_series[0];
   ASSERT_GE(series.size(), 3u);
@@ -155,15 +168,17 @@ TEST(Kernel, LoadSeriesBucketsBySimTime) {
 
 TEST(Kernel, RunTwiceRejected) {
   Kernel kernel(1, 1.0);
-  kernel.schedule(0, 0.5, [] {});
+  ClosureSink closures(kernel);
+  closures.schedule(0, 0.5, [] {});
   kernel.run_until(1.0);
   EXPECT_THROW(kernel.run_until(2.0), std::invalid_argument);
 }
 
 TEST(Kernel, ThreadedExceptionPropagates) {
   Kernel kernel(2, 1.0);
-  kernel.schedule(0, 0.5, [] { throw std::runtime_error("boom"); });
-  kernel.schedule(1, 0.5, [] {});
+  ClosureSink closures(kernel);
+  closures.schedule(0, 0.5, [] { throw std::runtime_error("boom"); });
+  closures.schedule(1, 0.5, [] {});
   EXPECT_THROW(kernel.run_until(10.0, ExecutionMode::Threaded),
                std::runtime_error);
 }
@@ -174,6 +189,7 @@ KernelStats pingpong(int lps, ExecutionMode mode,
                      SyncMode sync = SyncMode::GlobalWindow,
                      const KernelTuning& tuning = KernelTuning{}) {
   Kernel kernel(lps, 1.0);
+  ClosureSink closures(kernel);
   kernel.set_sync_mode(sync);
   kernel.set_tuning(tuning);
   // Self-perpetuating chains: each LP forwards a token around the ring,
@@ -181,16 +197,16 @@ KernelStats pingpong(int lps, ExecutionMode mode,
   std::function<void(int, int)> hop = [&](int lp, int hops_left) {
     if (hops_left == 0) return;
     const double now = kernel.now();
-    kernel.schedule(lp, now + 0.25, [] {});  // local filler
+    closures.schedule(lp, now + 0.25, [] {});  // local filler
     const int next = (lp + 1) % lps;
     auto continuation = [&hop, next, hops_left] { hop(next, hops_left - 1); };
     if (next == lp)
-      kernel.schedule(lp, now + 1.0, continuation);
+      closures.schedule(lp, now + 1.0, continuation);
     else
-      kernel.schedule_remote(next, now + 1.0, continuation);
+      closures.schedule_remote(next, now + 1.0, continuation);
   };
   for (int lp = 0; lp < lps; ++lp)
-    kernel.schedule(lp, 0.1 * (lp + 1), [&hop, lp] { hop(lp, 40); });
+    closures.schedule(lp, 0.1 * (lp + 1), [&hop, lp] { hop(lp, 40); });
   kernel.run_until(1e6, mode);
   return kernel.stats();
 }
@@ -220,18 +236,19 @@ struct HopRecord {
 };
 
 /// Sink that forwards each hop to the next LP (remote) or reschedules
-/// locally, mimicking the emulator's packet-train hop chains.
+/// locally, mimicking the emulator's packet-train hop chains. A null
+/// payload is a second event kind: local filler that does nothing.
 class ForwardingSink : public EventSink {
  public:
   ForwardingSink(Kernel& kernel, int lps) : kernel_(kernel), lps_(lps) {}
 
   void on_packet_event(const PacketEvent& event) override {
     auto* rec = static_cast<HopRecord*>(event.payload);
-    if (--rec->hops_left <= 0) return;
+    if (rec == nullptr || --rec->hops_left <= 0) return;
     const double now = kernel_.now();
-    // Local filler through the Callback fallback: packet and callback
-    // events must interleave deterministically.
-    kernel_.schedule(rec->lp, now + 0.25, [] {});
+    // Local filler: hop and filler events must interleave
+    // deterministically.
+    kernel_.schedule_packet(rec->lp, now + 0.25, {nullptr, rec->lp});
     const int next = (rec->lp + 1) % lps_;
     if (next == rec->lp) {
       kernel_.schedule_packet(rec->lp, now + 1.0, {rec, rec->lp});
@@ -285,10 +302,9 @@ TEST(KernelPacket, DispatchesToSinkWithContext) {
 
 TEST(KernelPacket, RemotePacketNeedsLookahead) {
   Kernel kernel(2, 1.0);
-  ForwardingSink sink(kernel, 2);
-  kernel.set_event_sink(&sink);
+  ClosureSink closures(kernel);
   bool caught = false;
-  kernel.schedule(0, 1.0, [&] {
+  closures.schedule(0, 1.0, [&] {
     try {
       kernel.schedule_packet_remote(1, 1.5, PacketEvent{});
     } catch (const std::invalid_argument&) {
@@ -306,30 +322,37 @@ TEST(KernelPacket, BulkFanInExecutesInTimestampOrder) {
   Kernel kernel(senders + 1, 1.0);
   std::vector<double> order;
 
+  std::vector<HopRecord> records(
+      static_cast<std::size_t>(senders * per_sender));
+
+  /// Null payload: sender kick-off on LP s + 1; otherwise a delivery.
   class Recorder : public EventSink {
    public:
-    Recorder(Kernel& k, std::vector<double>& out) : kernel_(k), out_(out) {}
-    void on_packet_event(const PacketEvent&) override {
-      out_.push_back(kernel_.now());
+    Recorder(Kernel& k, std::vector<double>& out,
+             std::vector<HopRecord>& records)
+        : kernel_(k), out_(out), records_(records) {}
+    void on_packet_event(const PacketEvent& event) override {
+      if (event.payload != nullptr) {
+        out_.push_back(kernel_.now());
+        return;
+      }
+      const int s = kernel_.current_lp() - 1;
+      for (int i = 0; i < per_sender; ++i) {
+        auto* rec = &records_[static_cast<std::size_t>(s * per_sender + i)];
+        // Deliberately interleaved timestamps across senders.
+        kernel_.schedule_packet_remote(0, 2.0 + 0.01 * i + 0.001 * s,
+                                       {rec, 0});
+      }
     }
     Kernel& kernel_;
     std::vector<double>& out_;
+    std::vector<HopRecord>& records_;
   };
-  Recorder recorder(kernel, order);
+  Recorder recorder(kernel, order, records);
   kernel.set_event_sink(&recorder);
 
-  std::vector<HopRecord> records(
-      static_cast<std::size_t>(senders * per_sender));
-  for (int s = 0; s < senders; ++s) {
-    kernel.schedule(s + 1, 0.5, [&kernel, &records, s] {
-      for (int i = 0; i < per_sender; ++i) {
-        auto* rec = &records[static_cast<std::size_t>(s * per_sender + i)];
-        // Deliberately interleaved timestamps across senders.
-        kernel.schedule_packet_remote(0, 2.0 + 0.01 * i + 0.001 * s,
-                                      {rec, 0});
-      }
-    });
-  }
+  for (int s = 0; s < senders; ++s)
+    kernel.schedule_packet(s + 1, 0.5, {nullptr, s + 1});
   kernel.run_until(10.0);
   ASSERT_EQ(order.size(), static_cast<std::size_t>(senders * per_sender));
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
@@ -338,7 +361,7 @@ TEST(KernelPacket, BulkFanInExecutesInTimestampOrder) {
 }
 
 /// Packet-path analogue of pingpong(): hop chains forwarded by the sink,
-/// with callback filler interleaved.
+/// with filler events interleaved.
 KernelStats packet_pingpong(int lps, ExecutionMode mode,
                             SyncMode sync = SyncMode::GlobalWindow) {
   Kernel kernel(lps, 1.0);
@@ -378,6 +401,7 @@ INSTANTIATE_TEST_SUITE_P(LpCounts, PacketModeEquivalence,
 
 TEST(ChannelSync, ValidationRejectsBadRegistrations) {
   Kernel kernel(3, 1.0);
+  ClosureSink closures(kernel);
   // Lookahead below the global minimum would let a channel undercut the
   // safety bound every other channel assumes.
   EXPECT_THROW(kernel.set_channel_lookahead(0, 1, 0.5),
@@ -389,7 +413,7 @@ TEST(ChannelSync, ValidationRejectsBadRegistrations) {
   EXPECT_THROW(kernel.set_channel_lookahead(-1, 1, 2.0),
                std::invalid_argument);
   kernel.set_channel_lookahead(0, 1, 2.0);
-  kernel.schedule(0, 0.1, [] {});
+  closures.schedule(0, 0.1, [] {});
   kernel.run_until(1.0);
   EXPECT_THROW(kernel.set_channel_lookahead(1, 0, 2.0),
                std::invalid_argument);
@@ -410,18 +434,19 @@ TEST(ChannelSync, LookaheadAccessorSemantics) {
 
 TEST(ChannelSync, RemoteSendValidatesAgainstChannelLookahead) {
   Kernel kernel(2, 1.0);
+  ClosureSink closures(kernel);
   kernel.set_channel_lookahead(0, 1, 2.0);
   kernel.set_channel_lookahead(1, 0, 1.0);
   bool tight_caught = false;
   double delivered_at = -1;
-  kernel.schedule(0, 1.0, [&] {
+  closures.schedule(0, 1.0, [&] {
     // Legal under the global lookahead (1.0) but not under this channel's.
     try {
-      kernel.schedule_remote(1, 2.5, [] {});
+      closures.schedule_remote(1, 2.5, [] {});
     } catch (const std::invalid_argument&) {
       tight_caught = true;
     }
-    kernel.schedule_remote(1, 3.0, [&] { delivered_at = kernel.now(); });
+    closures.schedule_remote(1, 3.0, [&] { delivered_at = kernel.now(); });
   });
   kernel.run_until(10.0);
   EXPECT_TRUE(tight_caught);
@@ -430,11 +455,12 @@ TEST(ChannelSync, RemoteSendValidatesAgainstChannelLookahead) {
 
 TEST(ChannelSync, SendOnUnregisteredPairRejected) {
   Kernel kernel(3, 1.0);
+  ClosureSink closures(kernel);
   kernel.set_channel_lookahead(0, 1, 1.0);
   bool caught = false;
-  kernel.schedule(0, 1.0, [&] {
+  closures.schedule(0, 1.0, [&] {
     try {
-      kernel.schedule_remote(2, 5.0, [] {});
+      closures.schedule_remote(2, 5.0, [] {});
     } catch (const std::invalid_argument&) {
       caught = true;
     }
@@ -574,7 +600,8 @@ TEST(OutboxTuning, RejectsZeroFlushThreshold) {
 
 TEST(OutboxTuning, RejectsTuningAfterRun) {
   Kernel kernel(1, 1.0);
-  kernel.schedule(0, 0.5, [] {});
+  ClosureSink closures(kernel);
+  closures.schedule(0, 0.5, [] {});
   kernel.run_until(1.0);
   EXPECT_THROW(kernel.set_tuning(KernelTuning{}), std::invalid_argument);
 }
@@ -587,6 +614,7 @@ TEST(ChannelSync, HeterogeneousLookaheadsTrackPerChannelStats) {
   for (const auto mode :
        {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
     Kernel kernel(3, 0.5);
+    ClosureSink closures(kernel);
     kernel.set_sync_mode(SyncMode::ChannelLookahead);
     kernel.set_channel_lookahead(0, 1, 0.5);
     kernel.set_channel_lookahead(1, 0, 0.5);
@@ -595,14 +623,14 @@ TEST(ChannelSync, HeterogeneousLookaheadsTrackPerChannelStats) {
     std::function<void(int, int, int)> hop = [&](int from, int to,
                                                  int hops_left) {
       if (hops_left == 0) return;
-      kernel.schedule_remote(to, kernel.now() + 0.5, [&hop, from, to,
+      closures.schedule_remote(to, kernel.now() + 0.5, [&hop, from, to,
                                                       hops_left] {
         hop(to, from, hops_left - 1);
       });
     };
-    kernel.schedule(0, 0.1, [&] { hop(0, 1, 60); });
-    kernel.schedule(0, 0.2, [&] {
-      kernel.schedule_remote(2, kernel.now() + 50.0, [] {});
+    closures.schedule(0, 0.1, [&] { hop(0, 1, 60); });
+    closures.schedule(0, 0.2, [&] {
+      closures.schedule_remote(2, kernel.now() + 50.0, [] {});
     });
     kernel.run_until(1e6, mode);
     const KernelStats& stats = kernel.stats();
@@ -624,10 +652,11 @@ TEST(ChannelSync, IdleSpansAreJumped) {
   for (const auto mode :
        {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
     Kernel kernel(2, 1.0);
+    ClosureSink closures(kernel);
     kernel.set_sync_mode(SyncMode::ChannelLookahead);
     double delivered_at = -1;
-    kernel.schedule(0, 0.5, [&] {
-      kernel.schedule_remote(1, 1000.0, [&] { delivered_at = kernel.now(); });
+    closures.schedule(0, 0.5, [&] {
+      closures.schedule_remote(1, 1000.0, [&] { delivered_at = kernel.now(); });
     });
     kernel.run_until(2000.0, mode);
     EXPECT_DOUBLE_EQ(delivered_at, 1000.0);
@@ -639,17 +668,19 @@ TEST(ChannelSync, IdleSpansAreJumped) {
 
 TEST(ChannelSync, ThreadedExceptionPropagates) {
   Kernel kernel(2, 1.0);
+  ClosureSink closures(kernel);
   kernel.set_sync_mode(SyncMode::ChannelLookahead);
-  kernel.schedule(0, 0.5, [] { throw std::runtime_error("boom"); });
-  kernel.schedule(1, 0.5, [] {});
+  closures.schedule(0, 0.5, [] { throw std::runtime_error("boom"); });
+  closures.schedule(1, 0.5, [] {});
   EXPECT_THROW(kernel.run_until(10.0, ExecutionMode::Threaded),
                std::runtime_error);
 }
 
 TEST(ChannelSync, SequentialExceptionPropagates) {
   Kernel kernel(2, 1.0);
+  ClosureSink closures(kernel);
   kernel.set_sync_mode(SyncMode::ChannelLookahead);
-  kernel.schedule(0, 0.5, [] { throw std::runtime_error("boom"); });
+  closures.schedule(0, 0.5, [] { throw std::runtime_error("boom"); });
   EXPECT_THROW(kernel.run_until(10.0), std::runtime_error);
 }
 
@@ -661,16 +692,17 @@ TEST(ChannelSync, SequentialExceptionPropagates) {
 std::vector<double> fan_in_order(std::size_t count,
                                  std::size_t preload_locals) {
   Kernel kernel(2, 1.0);
+  ClosureSink closures(kernel);
   std::vector<double> order;
   for (std::size_t i = 0; i < preload_locals; ++i)
-    kernel.schedule(0, 5.0 + 0.5 * static_cast<double>(i),
+    closures.schedule(0, 5.0 + 0.5 * static_cast<double>(i),
                     [&order, i] { order.push_back(5.0 + 0.5 * i); });
-  kernel.schedule(1, 0.5, [&] {
+  closures.schedule(1, 0.5, [&] {
     for (std::size_t i = 0; i < count; ++i) {
       // Descending times: a sorted-run shortcut that failed to sort would
       // execute these backwards.
       const double t = 2.0 + 0.01 * static_cast<double>(count - i);
-      kernel.schedule_remote(0, t, [&order, t] { order.push_back(t); });
+      closures.schedule_remote(0, t, [&order, t] { order.push_back(t); });
     }
   });
   kernel.run_until(100.0);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "des/kernel.hpp"
+#include "closure_sink.hpp"
 #include "emu/emulator.hpp"
 #include "fault/fault.hpp"
 #include "graph/graph.hpp"
@@ -47,15 +48,16 @@ des::KernelStats run_pingpong(des::ExecutionMode mode, des::SyncMode sync,
                               std::vector<double>* fired = nullptr) {
   des::Kernel kernel(2, 0.01);
   kernel.set_sync_mode(sync);
+  des::ClosureSink closures(kernel);
   auto bounce = std::make_shared<std::function<void()>>();
   std::function<void()>* raw = bounce.get();
-  *bounce = [&kernel, raw] {
+  *bounce = [&kernel, &closures, raw] {
     const double t = kernel.now();
     if (t > 0.9) return;
-    kernel.schedule_remote(1 - kernel.current_lp(), t + 0.02, *raw);
+    closures.schedule_remote(1 - kernel.current_lp(), t + 0.02, *raw);
   };
-  kernel.schedule(0, 0.005, *bounce);
-  kernel.schedule(1, 0.007, *bounce);
+  closures.schedule(0, 0.005, *bounce);
+  closures.schedule(1, 0.007, *bounce);
   for (const double sp : safepoints) kernel.add_safepoint(sp);
   if (fired != nullptr) {
     kernel.set_safepoint_hook([fired](des::SimTime t) {
@@ -99,17 +101,18 @@ des::KernelStats run_rehome(des::ExecutionMode mode, des::SyncMode sync,
                             std::array<std::uint64_t, 2>* counts_out) {
   des::Kernel kernel(2, 0.05);
   kernel.set_sync_mode(sync);
+  des::ClosureSink closures(kernel);
   auto counts = std::make_shared<std::array<std::uint64_t, 2>>();
   (*counts) = {0, 0};
   for (int i = 0; i < 40; ++i) {
-    kernel.schedule(0, 0.05 + 0.02 * i,
-                    [&kernel, counts] {
-                      ++(*counts)[static_cast<std::size_t>(
-                          kernel.current_lp())];
-                    },
-                    /*key=*/7);
+    closures.schedule(0, 0.05 + 0.02 * i,
+                      [&kernel, counts] {
+                        ++(*counts)[static_cast<std::size_t>(
+                            kernel.current_lp())];
+                      },
+                      /*key=*/7);
   }
-  for (int i = 0; i < 10; ++i) kernel.schedule(1, 0.06 + 0.08 * i, [] {});
+  for (int i = 0; i < 10; ++i) closures.schedule(1, 0.06 + 0.08 * i, [] {});
   kernel.add_safepoint(0.5);
   kernel.set_safepoint_hook([&kernel](des::SimTime) {
     kernel.rehome_events([](std::int32_t key) { return key == 7 ? 1 : 0; });

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "des/kernel.hpp"
+#include "closure_sink.hpp"
 #include "util/rng.hpp"
 
 namespace massf::des {
@@ -28,7 +29,8 @@ constexpr double kEnd = 200.0;
 /// interleaving. Each hop sprays local filler, sometimes bursts several
 /// remote messages at once (exercising multi-event outbox runs), and then
 /// forwards itself to a random LP.
-void storm_hop(Kernel& kernel, int lps, Rng rng, int hops_left) {
+void storm_hop(Kernel& kernel, ClosureSink& closures, int lps, Rng rng,
+               int hops_left) {
   if (hops_left == 0) return;
   const double now = kernel.now();
   const int here = kernel.current_lp();
@@ -36,7 +38,7 @@ void storm_hop(Kernel& kernel, int lps, Rng rng, int hops_left) {
   // Local filler: 0–2 events inside the lookahead window.
   const int filler = static_cast<int>(rng.next_below(3));
   for (int f = 0; f < filler; ++f)
-    kernel.schedule(here, now + 0.1 * (f + 1), [] {});
+    closures.schedule(here, now + 0.1 * (f + 1), [] {});
 
   // Occasional remote burst: several messages to one destination in one
   // window, which a batching sender coalesces into a single run.
@@ -46,7 +48,8 @@ void storm_hop(Kernel& kernel, int lps, Rng rng, int hops_left) {
     if (burst_dst != here) {
       const int burst = 2 + static_cast<int>(rng.next_below(3));
       for (int b = 0; b < burst; ++b)
-        kernel.schedule_remote(burst_dst, now + kLookahead + 0.05 * b, [] {});
+        closures.schedule_remote(burst_dst, now + kLookahead + 0.05 * b,
+                                 [] {});
     }
   }
 
@@ -54,13 +57,13 @@ void storm_hop(Kernel& kernel, int lps, Rng rng, int hops_left) {
   const int next = static_cast<int>(rng.next_below(
       static_cast<std::uint64_t>(lps)));
   const double stride = kLookahead * (1.0 + 0.5 * rng.next_below(4));
-  auto continuation = [&kernel, lps, rng, hops_left] {
-    storm_hop(kernel, lps, rng, hops_left - 1);
+  auto continuation = [&kernel, &closures, lps, rng, hops_left] {
+    storm_hop(kernel, closures, lps, rng, hops_left - 1);
   };
   if (next == here)
-    kernel.schedule(here, now + stride, continuation);
+    closures.schedule(here, now + stride, continuation);
   else
-    kernel.schedule_remote(next, now + stride, continuation);
+    closures.schedule_remote(next, now + stride, continuation);
 }
 
 struct StormResult {
@@ -73,6 +76,7 @@ StormResult run_storm(int lps, ExecutionMode mode, SyncMode sync,
   Kernel kernel(lps, kLookahead);
   kernel.set_sync_mode(sync);
   kernel.set_tuning(tuning);
+  ClosureSink closures(kernel);
   // Safepoint schedule (a stand-in for a rebalance cadence): every
   // safepoint force-drains all outboxes and rendezvouses all workers.
   StormResult result;
@@ -84,10 +88,10 @@ StormResult run_storm(int lps, ExecutionMode mode, SyncMode sync,
     for (int c = 0; c < 3; ++c) {
       Rng rng(static_cast<std::uint64_t>(lp) * 1000003u +
               static_cast<std::uint64_t>(c) * 7919u + 1);
-      kernel.schedule(lp, 0.1 * (lp + 1) + 0.01 * c,
-                      [&kernel, lps, rng](/*chain start*/) {
-                        storm_hop(kernel, lps, rng, 60);
-                      });
+      closures.schedule(lp, 0.1 * (lp + 1) + 0.01 * c,
+                        [&kernel, &closures, lps, rng](/*chain start*/) {
+                          storm_hop(kernel, closures, lps, rng, 60);
+                        });
     }
   }
   kernel.run_until(kEnd, mode);

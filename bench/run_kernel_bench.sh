@@ -42,5 +42,23 @@ if ! grep -q '"binary_build_type": *"release"' "$OUT".tmp; then
   rm -f "$OUT".tmp
   exit 1
 fi
+# Carry the recorded closure-path baseline (the event representation the
+# kernel no longer has, so it cannot be re-measured) over from the
+# previous file.
+if [[ -f "$OUT" ]]; then
+  python3 - "$OUT" "$OUT".tmp <<'PY'
+import json, sys
+old_path, new_path = sys.argv[1], sys.argv[2]
+with open(old_path) as f:
+    old = json.load(f)
+if "historical_closure_baseline" in old:
+    with open(new_path) as f:
+        new = json.load(f)
+    new["historical_closure_baseline"] = old["historical_closure_baseline"]
+    with open(new_path, "w") as f:
+        json.dump(new, f, indent=2)
+        f.write("\n")
+PY
+fi
 mv "$OUT".tmp "$OUT"
 echo "wrote $OUT"

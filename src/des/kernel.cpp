@@ -78,6 +78,22 @@ struct FailureBox {
     util::MutexLock lock(m);
     return first;
   }
+
+  /// Run one per-LP step unless a failure is already recorded — a failed
+  /// run executes nothing more — and record whatever it throws. Workers
+  /// then carry on through the barrier and stall protocols unchanged until
+  /// a completion sees `failed` and stops the run, so no worker ever waits
+  /// for one that left.
+  template <typename Step>
+  void guard(Step&& step) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    try {
+      step();
+    } catch (...) {
+      tl_current_lp = -1;  // the step threw out of an executing event
+      record(std::current_exception());
+    }
+  }
 };
 
 }  // namespace
@@ -1119,34 +1135,17 @@ struct Kernel::WindowRun {
   }
 
   void worker(std::size_t first, std::size_t last) {
-    // Which barrier this worker owes next — lets the recovery path keep the
-    // phase protocol intact even when an event throws mid-window.
-    bool owes_barrier_b = false;
-    try {
-      while (true) {
-        barrier_a.arrive_and_wait();
-        if (stop.load(std::memory_order_relaxed)) break;
-        owes_barrier_b = true;
-        for (std::size_t i = first; i < last; ++i) process(i);
-        barrier_b.arrive_and_wait();
-        owes_barrier_b = false;
-        // Second half of the step: the receive cost lands in the next
-        // window's busy time — that is where the work happens.
-        for (std::size_t i = first; i < last; ++i)
-          impl.drain_inboxes(i, k.cost_.per_remote_message);
-      }
-    } catch (...) {
-      tl_current_lp = -1;
-      failure.record(std::current_exception());
-      // Keep participating in barriers until everyone observes the stop
-      // flag (decide stops on any failure), so no worker deadlocks waiting
-      // for us.
-      if (owes_barrier_b) barrier_b.arrive_and_wait();
-      while (!stop.load(std::memory_order_relaxed)) {
-        barrier_a.arrive_and_wait();
-        if (stop.load(std::memory_order_relaxed)) break;
-        barrier_b.arrive_and_wait();
-      }
+    while (true) {
+      barrier_a.arrive_and_wait();
+      if (stop.load(std::memory_order_relaxed)) break;
+      for (std::size_t i = first; i < last; ++i)
+        failure.guard([&] { process(i); });
+      barrier_b.arrive_and_wait();
+      // Second half of the step: the receive cost lands in the next
+      // window's busy time — that is where the work happens.
+      for (std::size_t i = first; i < last; ++i)
+        failure.guard(
+            [&] { impl.drain_inboxes(i, k.cost_.per_remote_message); });
     }
   }
 };
@@ -1176,13 +1175,12 @@ struct Kernel::ChannelRun {
     std::atomic<SimTime> v{0.0};
   };
 
-  ChannelRun(Kernel& kernel, SimTime end, int workers, bool timed)
+  ChannelRun(Kernel& kernel, SimTime end, int workers)
       : k(kernel),
         impl(*kernel.impl_),
         end_time(end),
         inv_bucket(1.0 / kernel.stats_.bucket_width),
         workers(workers),
-        timed(timed),
         clocks(std::make_unique<ClockSlot[]>(impl.lps.size())),
         rendezvous(workers, [this] { rendezvous_step(); },
                    kernel.tuning_.spin_iterations, kernel.tuning_.park_on_idle) {}
@@ -1192,8 +1190,6 @@ struct Kernel::ChannelRun {
   const SimTime end_time;
   const double inv_bucket;
   const int workers;
-  /// Threaded runs measure each LP's stalled wall time (idle_wait_per_lp).
-  const bool timed;
   const std::unique_ptr<ClockSlot[]> clocks;
   /// Stall tokens: a worker with nothing safely executable parks one here
   /// and waits. When all workers' tokens are present they meet in the
@@ -1203,13 +1199,6 @@ struct Kernel::ChannelRun {
   alignas(64) std::atomic<bool> stop{false};
   FailureBox failure;
   util::SpinBarrier rendezvous;
-
-  /// Ring every LP's doorbell — used on the global transitions (last
-  /// staller, worker failure) that parked workers cannot observe through
-  /// their own inbound channels.
-  void signal_all() {
-    for (Impl::Lp& lp : impl.lps) lp.wake.signal();
-  }
 
   /// The per-LP step: drain LP i's inbound channels while computing its
   /// bound, execute everything safely below it, record the binding
@@ -1333,12 +1322,15 @@ struct Kernel::ChannelRun {
 
   /// Park a stall token, then wait — spin, then park on `home`'s wait slot
   /// — until the last staller rings everyone into the rendezvous (taken
-  /// before returning) or `wake_early()` holds (the token is withdrawn).
-  /// A lone worker is always the last staller, so it never spins or parks.
-  template <typename WakeEarly>
-  void stall(Impl::Lp& home, WakeEarly&& wake_early) {
+  /// before returning) or the doorbell epoch has moved past `seen` (new
+  /// work may have arrived; the token is withdrawn). A lone worker is
+  /// always the last staller, so it never spins or parks.
+  void stall(Impl::Lp& home, std::uint32_t seen) {
+    // The last staller rings every doorbell: parked workers cannot observe
+    // the all-stalled transition through their own inbound channels.
     if (stalled.fetch_add(1, std::memory_order_acq_rel) + 1 == workers)
-      signal_all();
+      for (Impl::Lp& lp : impl.lps) lp.wake.signal();
+    auto wake_early = [&] { return home.wake.prepare() != seen; };
     util::SpinWait spin(k.tuning_.spin_iterations, k.tuning_.park_on_idle);
     while (true) {
       if (stalled.load(std::memory_order_acquire) == workers) {
@@ -1346,8 +1338,15 @@ struct Kernel::ChannelRun {
         return;
       }
       if (wake_early()) {
-        stalled.fetch_sub(1, std::memory_order_acq_rel);
-        return;
+        // Withdraw the token — unless the last staller already counted it:
+        // once every worker is stalled, all of them take the rendezvous.
+        int n = stalled.load(std::memory_order_acquire);
+        while (n != workers &&
+               !stalled.compare_exchange_weak(n, n - 1,
+                                              std::memory_order_acq_rel)) {
+        }
+        if (n != workers) return;
+        continue;
       }
       if (spin.should_park()) {
         // Eventcount handshake: snapshot the epoch, re-check both wake
@@ -1369,36 +1368,23 @@ struct Kernel::ChannelRun {
     // Only the Sequential worker owns several LPs, and it never waits, so
     // the waiting state (wait slot, parks, idle wait) lives on `home`.
     Impl::Lp& home = impl.lps[first];
-    try {
-      while (!stop.load(std::memory_order_acquire)) {
-        // Every inbound clock advance and run publish rings the doorbell
-        // after the fact, so an epoch that moved since this round began
-        // means new work may have arrived.
-        const std::uint32_t seen = home.wake.prepare();
-        bool executed = false;
-        for (std::size_t i = first; i < last; ++i) executed |= advance(i);
-        if (executed) continue;
-        std::chrono::steady_clock::time_point wait_start;
-        if (timed) wait_start = std::chrono::steady_clock::now();
-        stall(home, [&] { return home.wake.prepare() != seen; });
-        if (timed)
-          home.idle_wait += std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - wait_start)
-                                .count();
-      }
-    } catch (...) {
-      tl_current_lp = -1;
-      failure.record(std::current_exception());
-      // Publish infinite clocks — these LPs execute nothing further, so no
-      // event they could still send undercuts any receiver's bound — ring
-      // every doorbell, then keep the stall/rendezvous protocol alive until
-      // everyone sees stop. The token is re-parked every round because
-      // each rendezvous completion resets the counter.
+    while (!stop.load(std::memory_order_acquire)) {
+      // Every inbound clock advance and run publish rings the doorbell
+      // after the fact, so an epoch that moved since this round began
+      // means new work may have arrived.
+      const std::uint32_t seen = home.wake.prepare();
+      bool executed = false;
       for (std::size_t i = first; i < last; ++i)
-        clocks[i].v.store(never(), std::memory_order_release);
-      signal_all();
-      while (!stop.load(std::memory_order_acquire))
-        stall(home, [] { return false; });
+        failure.guard([&] { executed |= advance(i); });
+      if (executed) continue;
+      // A failed run executes nothing, so every worker stalls and the
+      // rendezvous completion stops it.
+      const auto wait_start = std::chrono::steady_clock::now();
+      stall(home, seen);
+      if (workers > 1)  // a lone worker never waits
+        home.idle_wait += std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - wait_start)
+                              .count();
     }
   }
 
@@ -1477,7 +1463,7 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
         for (int d = 0; d < lp_count_; ++d)
           if (s != d) impl_->ensure_channel(s, d, lookahead_);
     impl_->build_inbound();
-    ChannelRun run(*this, end_time, workers, mode == ExecutionMode::Threaded);
+    ChannelRun run(*this, end_time, workers);
     drive(run, mode, impl_->lps.size(), tuning_.pin_threads);
     run.finish();
   } else {

@@ -284,8 +284,8 @@ class Kernel {
   ///     GlobalWindow is unaffected).
   ///   * Any channel registered: the channel graph is exactly the
   ///     registered pairs. schedule_packet_remote to an unregistered pair
-  ///     is rejected, and remote sends validate against
-  ///     the *channel's* lookahead rather than the global one (this also
+  ///     is rejected, and remote sends validate against the *channel's*
+  ///     lookahead rather than the global one (this also
   ///     tightens GlobalWindow-mode validation — safe, since per-pair
   ///     lookaheads are >= the global minimum by construction).
   ///
@@ -363,9 +363,9 @@ class Kernel {
   bool in_safepoint() const { return in_safepoint_; }
 
   /// Move every pending keyed event to the LP `target_of(key)` (keys are
-  /// PacketEvent::node; key -1 events are pinned and never move). target_of must return a
-  /// valid LP index for every key it is shown. Returns the number of events
-  /// moved. Hook-only.
+  /// PacketEvent::node; key -1 events are pinned and never move).
+  /// target_of must return a valid LP index for every key it is shown.
+  /// Returns the number of events moved. Hook-only.
   std::uint64_t rehome_events(const std::function<int(std::int32_t)>& target_of);
 
   /// Lower the global lookahead to `la` (0 < la <= current). Migration can

@@ -1,5 +1,5 @@
 // Adaptive spin-then-park waiting primitives shared by the DES kernel's
-// threaded runners (both SyncMode protocols — DESIGN.md §11).
+// run driver (both SyncMode protocols — DESIGN.md §11).
 //
 // The pre-batching idle protocol burned a scheduler quantum per poll
 // (std::this_thread::yield loops) or paid a futex syscall per window
@@ -22,7 +22,7 @@
 //     signal fast path is one uncontended fetch_add + load.
 //   * SpinBarrier — a sense-reversing centralized barrier over the same
 //     spin-then-park policy, with a single-threaded completion step
-//     (replaces std::barrier in both threaded runners so the idle policy
+//     (replaces std::barrier in the kernel's run driver so the idle policy
 //     is uniform and tunable).
 //
 // Every busy-wait loop in src/ must go through this header — massf-lint's

@@ -1478,7 +1478,7 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
     stats_.events_per_lp[static_cast<std::size_t>(i)] = lp.events;
     stats_.busy_per_lp[static_cast<std::size_t>(i)] = lp.busy_total;
     stats_.idle_wait_per_lp[static_cast<std::size_t>(i)] = lp.idle_wait;
-    stats_.remote_messages += lp.remote_received;
+    stats_.remote_messages += lp.remote_sent;
     stats_.channel_advances += lp.advances;
     stats_.handoff_runs += lp.handoff_runs;
     stats_.parks += lp.parks;

@@ -181,7 +181,9 @@ struct KernelStats {
   std::vector<std::uint64_t> events_per_lp;
   /// Modeled busy seconds per LP.
   std::vector<double> busy_per_lp;
-  /// Cross-LP messages delivered.
+  /// Cross-LP messages sent. Counted at the sender, so the value is the
+  /// same in every sync × execution mode even when a run ends with mail
+  /// still in flight (how much of it was drained depends on thread timing).
   std::uint64_t remote_messages = 0;
   /// Synchronization windows executed (each implies a barrier). Always 0
   /// under ChannelLookahead, which has no windows — see channel_advances.

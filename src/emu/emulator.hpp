@@ -65,7 +65,9 @@ struct EmulatorConfig {
   double bucket_width = 2.0;
   /// Engine cost model for modeled emulation time.
   des::CostModel cost{};
-  /// Record NetFlow profiles (tiny overhead; PROFILE needs it).
+  /// Record NetFlow profiles (PROFILE needs it). Costs one flow-table
+  /// update per hop: on the 10⁶-node hier-1m run, 0.05–0.5 s of a 3.0–3.5 s
+  /// emulate phase (4-CPU Xeon VM, Release build).
   bool collect_netflow = true;
   /// Fallback lookahead when no link crosses engines (single-engine runs).
   double min_lookahead = 1e-4;

@@ -6,35 +6,106 @@
 
 namespace massf::emu {
 
+namespace {
+
+constexpr std::size_t kMinSlots = 4;
+
+/// Home slot of a flow id: Fibonacci hashing, so ids that differ only in
+/// their low bits (small test ids, counters) still spread.
+std::size_t home_slot(std::uint64_t flow, std::size_t mask) {
+  return static_cast<std::size_t>((flow * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+}
+
+}  // namespace
+
 NetFlowCollector::NetFlowCollector(NodeId node_count, LinkId link_count,
                                    double bucket_width)
     : bucket_width_(bucket_width),
-      node_packets_(static_cast<std::size_t>(node_count), 0.0),
       link_packets_by_dir_(2 * static_cast<std::size_t>(link_count), 0.0),
-      node_buckets_(static_cast<std::size_t>(node_count)),
-      node_flow_records_(static_cast<std::size_t>(node_count)) {
+      node_tables_(static_cast<std::size_t>(node_count)) {
   MASSF_REQUIRE(bucket_width > 0, "bucket width must be positive");
+}
+
+NetFlowCollector::NetFlowCollector(const NetFlowCollector& other)
+    : bucket_width_(other.bucket_width_),
+      link_packets_by_dir_(other.link_packets_by_dir_),
+      node_tables_(other.node_tables_.size()) {
+  for (std::size_t v = 0; v < node_tables_.size(); ++v)
+    if (other.node_tables_[v])
+      node_tables_[v] = std::make_unique<NodeTable>(*other.node_tables_[v]);
+}
+
+NetFlowCollector& NetFlowCollector::operator=(const NetFlowCollector& other) {
+  if (this != &other) *this = NetFlowCollector(other);
+  return *this;
+}
+
+FlowRecord& NetFlowCollector::NodeTable::find_or_add(std::uint64_t flow,
+                                                     SimTime t) {
+  if (!slots.empty()) {
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = home_slot(flow, mask);; i = (i + 1) & mask) {
+      const std::uint32_t slot = slots[i];
+      if (slot == 0) break;
+      FlowRecord& record = records[slot - 1];
+      if (record.flow == flow) return record;
+    }
+  }
+  // New flow. Keep the load factor at or below 3/4.
+  if (4 * (records.size() + 1) > 3 * slots.size())
+    rehash(std::max(kMinSlots, 2 * slots.size()));
+  MASSF_CHECK(records.size() < UINT32_MAX, "flow table index overflow");
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = home_slot(flow, mask);
+  while (slots[i] != 0) i = (i + 1) & mask;
+  // massf-analyze: allow(hot-path-alloc) — flow-table growth: the dense
+  // record array doubles, once per doubling of the node's flow count.
+  records.push_back(FlowRecord{flow, 0, 0, t, 0});
+  slots[i] = static_cast<std::uint32_t>(records.size());
+  return records.back();
+}
+
+void NetFlowCollector::NodeTable::rehash(std::size_t capacity) {
+  // massf-analyze: allow(hot-path-alloc) — flow-table growth: the index
+  // doubles, once per doubling of the node's flow count.
+  slots.assign(capacity, 0);
+  const std::size_t mask = capacity - 1;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    std::size_t i = home_slot(records[r].flow, mask);
+    while (slots[i] != 0) i = (i + 1) & mask;
+    slots[i] = static_cast<std::uint32_t>(r + 1);
+  }
+}
+
+std::vector<FlowRecord> NetFlowCollector::NodeTable::sorted_records() const {
+  std::vector<FlowRecord> out = records;
+  std::sort(out.begin(), out.end(), [](const FlowRecord& a, const FlowRecord& b) {
+    return a.flow < b.flow;
+  });
+  return out;
+}
+
+NetFlowCollector::NodeTable& NetFlowCollector::table(NodeId node) {
+  auto& slot = node_tables_[static_cast<std::size_t>(node)];
+  // massf-analyze: allow(hot-path-alloc) — one table per node, allocated
+  // when the node processes its first packet.
+  if (!slot) slot = std::make_unique<NodeTable>();
+  return *slot;
 }
 
 void NetFlowCollector::record_node(NodeId node, const Packet& packet,
                                    SimTime t) {
-  auto& total = node_packets_[static_cast<std::size_t>(node)];
-  total += packet.packets;
+  NodeTable& node_table = table(node);
+  node_table.packets += packet.packets;
 
-  auto& buckets = node_buckets_[static_cast<std::size_t>(node)];
+  auto& buckets = node_table.buckets;
   const auto bucket = static_cast<std::size_t>(t / bucket_width_);
   // massf-analyze: allow(hot-path-alloc) — time-bucket growth: one
   // high-water resize per bucket width of sim time, doubling-amortized.
   if (buckets.size() <= bucket) buckets.resize(bucket + 1, 0.0);
   buckets[bucket] += packet.packets;
 
-  auto& records = node_flow_records_[static_cast<std::size_t>(node)];
-  auto [it, inserted] = records.try_emplace(packet.flow);
-  FlowRecord& record = it->second;
-  if (inserted) {
-    record.flow = packet.flow;
-    record.first_seen = t;
-  }
+  FlowRecord& record = node_table.find_or_add(packet.flow, t);
   record.packets += packet.packets;
   record.bytes += packet.bytes;
   record.last_seen = std::max(record.last_seen, t);
@@ -56,27 +127,35 @@ std::vector<double> NetFlowCollector::link_packets() const {
 
 std::vector<std::vector<double>> NetFlowCollector::node_series() const {
   std::size_t width = 0;
-  for (const auto& row : node_buckets_) width = std::max(width, row.size());
-  std::vector<std::vector<double>> out = node_buckets_;
-  for (auto& row : out) row.resize(width, 0.0);
+  for (const auto& t : node_tables_)
+    if (t) width = std::max(width, t->buckets.size());
+  std::vector<std::vector<double>> out(node_tables_.size());
+  for (std::size_t v = 0; v < out.size(); ++v) {
+    if (node_tables_[v]) out[v] = node_tables_[v]->buckets;
+    out[v].resize(width, 0.0);
+  }
   return out;
 }
 
 std::vector<FlowRecord> NetFlowCollector::node_flows(NodeId node) const {
   MASSF_REQUIRE(node >= 0 && static_cast<std::size_t>(node) <
-                                 node_flow_records_.size(),
+                                 node_tables_.size(),
                 "node out of range");
-  std::vector<FlowRecord> out;
-  out.reserve(node_flow_records_[static_cast<std::size_t>(node)].size());
-  for (const auto& [flow, record] :
-       node_flow_records_[static_cast<std::size_t>(node)])
-    out.push_back(record);
+  const auto& t = node_tables_[static_cast<std::size_t>(node)];
+  return t ? t->sorted_records() : std::vector<FlowRecord>{};
+}
+
+std::vector<double> NetFlowCollector::node_packets() const {
+  std::vector<double> out(node_tables_.size(), 0.0);
+  for (std::size_t v = 0; v < out.size(); ++v)
+    if (node_tables_[v]) out[v] = node_tables_[v]->packets;
   return out;
 }
 
 double NetFlowCollector::total_node_packets() const {
   double total = 0;
-  for (double p : node_packets_) total += p;
+  for (const auto& t : node_tables_)
+    if (t) total += t->packets;
   return total;
 }
 
@@ -87,18 +166,23 @@ constexpr std::uint32_t kTagNetflow = 0x6e666c77;  // "nflw"
 void NetFlowCollector::save(ckpt::Writer& w) const {
   w.tag(kTagNetflow);
   w.f64(bucket_width_);
-  w.u64(node_packets_.size());
-  for (double p : node_packets_) w.f64(p);
+  w.u64(node_tables_.size());
+  for (const auto& t : node_tables_) w.f64(t ? t->packets : 0.0);
   w.u64(link_packets_by_dir_.size());
   for (double p : link_packets_by_dir_) w.f64(p);
-  for (const auto& row : node_buckets_) {
-    w.u64(row.size());
-    for (double b : row) w.f64(b);
+  for (const auto& t : node_tables_) {
+    w.u64(t ? t->buckets.size() : 0);
+    if (t)
+      for (double b : t->buckets) w.f64(b);
   }
-  // std::map iterates in key order, so the record stream is deterministic.
-  for (const auto& records : node_flow_records_) {
+  for (const auto& t : node_tables_) {
+    if (!t) {
+      w.u64(0);
+      continue;
+    }
+    const std::vector<FlowRecord> records = t->sorted_records();
     w.u64(records.size());
-    for (const auto& [flow, record] : records) {
+    for (const FlowRecord& record : records) {
       w.u64(record.flow);
       w.f64(record.packets);
       w.f64(record.bytes);
@@ -111,29 +195,44 @@ void NetFlowCollector::save(ckpt::Writer& w) const {
 void NetFlowCollector::load(ckpt::Reader& r) {
   r.expect_tag(kTagNetflow, "NetFlow section");
   bucket_width_ = r.f64();
-  MASSF_REQUIRE(r.u64() == node_packets_.size() && bucket_width_ > 0,
+  MASSF_REQUIRE(r.u64() == node_tables_.size() && bucket_width_ > 0,
                 "checkpointed NetFlow dimensions do not match this network — "
                 "rebuild the emulator against the checkpointed topology");
-  for (double& p : node_packets_) p = r.f64();
+  for (auto& t : node_tables_) t.reset();
+  for (std::size_t v = 0; v < node_tables_.size(); ++v) {
+    const double packets = r.f64();
+    if (packets != 0.0) table(static_cast<NodeId>(v)).packets = packets;
+  }
   MASSF_REQUIRE(r.u64() == link_packets_by_dir_.size(),
                 "checkpointed NetFlow link table does not match this network");
   for (double& p : link_packets_by_dir_) p = r.f64();
-  for (auto& row : node_buckets_) {
-    row.assign(r.u64(), 0.0);
-    for (double& b : row) b = r.f64();
+  for (std::size_t v = 0; v < node_tables_.size(); ++v) {
+    const std::uint64_t n = r.bounded_count(sizeof(double), "NetFlow buckets");
+    if (n == 0) continue;
+    auto& buckets = table(static_cast<NodeId>(v)).buckets;
+    buckets.resize(n);
+    for (double& b : buckets) b = r.f64();
   }
-  for (auto& records : node_flow_records_) {
-    records.clear();
-    const std::uint64_t n = r.u64();
+  constexpr std::size_t kRecordBytes = 8 + 4 * sizeof(double);
+  for (std::size_t v = 0; v < node_tables_.size(); ++v) {
+    const std::uint64_t n = r.bounded_count(kRecordBytes, "NetFlow records");
+    if (n == 0) continue;
+    NodeTable& t = table(static_cast<NodeId>(v));
+    t.records.resize(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      FlowRecord record;
+      FlowRecord& record = t.records[i];
       record.flow = r.u64();
       record.packets = r.f64();
       record.bytes = r.f64();
       record.first_seen = r.f64();
       record.last_seen = r.f64();
-      records.emplace(record.flow, record);
+      MASSF_REQUIRE(i == 0 || t.records[i - 1].flow < record.flow,
+                    "checkpointed NetFlow records are not in ascending "
+                    "flow-id order");
     }
+    std::size_t capacity = kMinSlots;
+    while (4 * n > 3 * capacity) capacity *= 2;
+    t.rehash(capacity);
   }
 }
 

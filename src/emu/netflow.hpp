@@ -8,13 +8,24 @@
 // consumes. Measurements are in *packets* because "the real load in the
 // emulator depends on the number of packets it processes" (§3.3).
 //
-// Thread safety in Threaded kernel mode: per-node slots are only touched by
-// the LP owning the node, and per-link counters are split by direction
+// Storage: one pointer per node, null until the node processes its first
+// packet. A node that has seen traffic owns a flat table: its packet total,
+// its time-bucket series, a dense array of 40-byte flow records in
+// first-seen order and an open-addressed, linear-probing index of 4-byte
+// slots (record position + 1, 0 = empty) keyed by flow id and kept at most
+// 3/4 full. Recording a hop therefore touches O(1) cache lines however many
+// flows the node carries, at 45-91 bytes per record. Every output is
+// produced in flow-id order when read, so no result depends on hashing or
+// on insertion order.
+//
+// Thread safety in Threaded kernel mode: per-node tables are only touched
+// by the LP owning the node, and per-link counters are split by direction
 // (updated by the transmitting endpoint's LP), so no locks are needed.
+// Rehoming a node moves nothing: its table simply gets a new owner.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
@@ -43,6 +54,13 @@ class NetFlowCollector {
   NetFlowCollector(NodeId node_count, LinkId link_count,
                    double bucket_width = 2.0);
 
+  /// Copies are deep: the copy owns its own per-node tables.
+  NetFlowCollector(const NetFlowCollector& other);
+  NetFlowCollector& operator=(const NetFlowCollector& other);
+  NetFlowCollector(NetFlowCollector&&) noexcept = default;
+  NetFlowCollector& operator=(NetFlowCollector&&) noexcept = default;
+  ~NetFlowCollector() = default;
+
   /// Record a packet train being processed at `node` at time `t`.
   void record_node(NodeId node, const Packet& packet, SimTime t);
 
@@ -54,7 +72,7 @@ class NetFlowCollector {
   //    of the aggregated traffic on every router and link") --------------
 
   /// Total packets processed per node.
-  const std::vector<double>& node_packets() const { return node_packets_; }
+  std::vector<double> node_packets() const;
 
   /// Total packets per link (both directions summed).
   std::vector<double> link_packets() const;
@@ -72,16 +90,34 @@ class NetFlowCollector {
   double total_node_packets() const;
 
   /// Checkpoint support: serialize / restore the full collector state.
-  /// load() requires a collector constructed with the same dimensions.
+  /// Flow records are written in flow-id order, so the bytes never depend
+  /// on the table layout. load() requires a collector constructed with the
+  /// same dimensions and rejects (std::invalid_argument) a node's records
+  /// that are not in strictly ascending flow-id order.
   void save(ckpt::Writer& w) const;
   void load(ckpt::Reader& r);
 
  private:
+  /// One node's profile: load series plus its flow table.
+  struct NodeTable {
+    double packets = 0;                // total packets processed
+    std::vector<double> buckets;       // packets per time bucket
+    std::vector<FlowRecord> records;   // dense, first-seen order
+    std::vector<std::uint32_t> slots;  // power-of-two open-addressed index
+
+    /// The record for `flow`, appended (first_seen = t) if it is new.
+    FlowRecord& find_or_add(std::uint64_t flow, SimTime t);
+    /// Index every record into a table of `capacity` slots.
+    void rehash(std::size_t capacity);
+    /// Records sorted by flow id.
+    std::vector<FlowRecord> sorted_records() const;
+  };
+
+  NodeTable& table(NodeId node);
+
   double bucket_width_;
-  std::vector<double> node_packets_;
-  std::vector<double> link_packets_by_dir_;          // 2 per link
-  std::vector<std::vector<double>> node_buckets_;    // ragged rows
-  std::vector<std::map<std::uint64_t, FlowRecord>> node_flow_records_;
+  std::vector<double> link_packets_by_dir_;  // 2 per link
+  std::vector<std::unique_ptr<NodeTable>> node_tables_;  // null = no traffic
 };
 
 }  // namespace massf::emu

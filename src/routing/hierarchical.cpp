@@ -22,8 +22,11 @@ struct HierarchicalRoutingTables::Topo {
   NodeId nodes = 0;
   LinkId links = 0;
   int domains = 0;
-  std::vector<int> domain_of;              // per node
-  std::vector<int> local_of;               // per node, position in its domain
+  struct NodePlace {
+    int domain;
+    int local;  // position in its domain
+  };
+  std::vector<NodePlace> place;            // per node
   std::vector<std::int64_t> dom_node_off;  // domains + 1
   std::vector<NodeId> dom_nodes;           // ascending global ids per domain
   std::vector<std::int64_t> dom_link_off;  // domains + 1
@@ -43,9 +46,9 @@ HierarchicalRoutingTables::Topo::make(const Network& network) {
   const NodeId n = network.node_count();
   topo->nodes = n;
   topo->links = network.link_count();
-  topo->domain_of = network.domain_of_nodes();
+  const std::vector<int> domain_of = network.domain_of_nodes();
   int domains = 0;
-  for (int d : topo->domain_of) {
+  for (int d : domain_of) {
     MASSF_REQUIRE(d >= 0, "node domain ids must be non-negative");
     domains = std::max(domains, d + 1);
   }
@@ -53,22 +56,22 @@ HierarchicalRoutingTables::Topo::make(const Network& network) {
 
   // Group nodes by domain (ascending global id within each group).
   topo->dom_node_off.assign(static_cast<std::size_t>(domains) + 1, 0);
-  for (int d : topo->domain_of) topo->dom_node_off[static_cast<std::size_t>(d) + 1]++;
+  for (int d : domain_of) topo->dom_node_off[static_cast<std::size_t>(d) + 1]++;
   for (int i = 0; i < domains; ++i)
     topo->dom_node_off[static_cast<std::size_t>(i) + 1] +=
         topo->dom_node_off[static_cast<std::size_t>(i)];
   topo->dom_nodes.resize(static_cast<std::size_t>(n));
-  topo->local_of.resize(static_cast<std::size_t>(n));
+  topo->place.resize(static_cast<std::size_t>(n));
   {
     std::vector<std::int64_t> cursor(topo->dom_node_off.begin(),
                                      topo->dom_node_off.end() - 1);
     for (NodeId v = 0; v < n; ++v) {
-      const auto d = static_cast<std::size_t>(
-          topo->domain_of[static_cast<std::size_t>(v)]);
+      const int domain = domain_of[static_cast<std::size_t>(v)];
+      const auto d = static_cast<std::size_t>(domain);
       const std::int64_t at = cursor[d]++;
       topo->dom_nodes[static_cast<std::size_t>(at)] = v;
-      topo->local_of[static_cast<std::size_t>(v)] =
-          static_cast<int>(at - topo->dom_node_off[d]);
+      topo->place[static_cast<std::size_t>(v)] = {
+          domain, static_cast<int>(at - topo->dom_node_off[d])};
     }
   }
   for (int i = 0; i < domains; ++i) {
@@ -86,8 +89,8 @@ HierarchicalRoutingTables::Topo::make(const Network& network) {
   topo->dom_link_off.assign(static_cast<std::size_t>(domains) + 1, 0);
   for (LinkId l = 0; l < topo->links; ++l) {
     const topology::Link& link = network.link(l);
-    const int da = topo->domain_of[static_cast<std::size_t>(link.a)];
-    const int db = topo->domain_of[static_cast<std::size_t>(link.b)];
+    const int da = topo->place[static_cast<std::size_t>(link.a)].domain;
+    const int db = topo->place[static_cast<std::size_t>(link.b)].domain;
     if (da == db) {
       topo->dom_link_off[static_cast<std::size_t>(da) + 1]++;
     } else {
@@ -106,8 +109,8 @@ HierarchicalRoutingTables::Topo::make(const Network& network) {
                                      topo->dom_link_off.end() - 1);
     for (LinkId l = 0; l < topo->links; ++l) {
       const topology::Link& link = network.link(l);
-      const int da = topo->domain_of[static_cast<std::size_t>(link.a)];
-      if (da != topo->domain_of[static_cast<std::size_t>(link.b)]) continue;
+      const int da = topo->place[static_cast<std::size_t>(link.a)].domain;
+      if (da != topo->place[static_cast<std::size_t>(link.b)].domain) continue;
       topo->dom_links[static_cast<std::size_t>(
           cursor[static_cast<std::size_t>(da)]++)] = l;
     }
@@ -121,7 +124,7 @@ HierarchicalRoutingTables::Topo::make(const Network& network) {
         static_cast<int>(topo->borders.size());
     topo->borders.push_back(v);
     topo->dom_border_off[static_cast<std::size_t>(
-        topo->domain_of[static_cast<std::size_t>(v)]) + 1]++;
+        topo->place[static_cast<std::size_t>(v)].domain) + 1]++;
   }
   for (int i = 0; i < domains; ++i)
     topo->dom_border_off[static_cast<std::size_t>(i) + 1] +=
@@ -131,8 +134,8 @@ HierarchicalRoutingTables::Topo::make(const Network& network) {
     std::vector<std::int64_t> cursor(topo->dom_border_off.begin(),
                                      topo->dom_border_off.end() - 1);
     for (int b = 0; b < static_cast<int>(topo->borders.size()); ++b) {
-      const auto d = static_cast<std::size_t>(topo->domain_of[
-          static_cast<std::size_t>(topo->borders[static_cast<std::size_t>(b)])]);
+      const auto d = static_cast<std::size_t>(topo->place[
+          static_cast<std::size_t>(topo->borders[static_cast<std::size_t>(b)])].domain);
       topo->dom_borders[static_cast<std::size_t>(cursor[d]++)] = b;
     }
   }
@@ -321,9 +324,9 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
             network.link(topo.dom_links[static_cast<std::size_t>(k)]);
         if (!node_active(link.a) || !node_active(link.b)) continue;
         s.ladj_off[static_cast<std::size_t>(
-            topo.local_of[static_cast<std::size_t>(link.a)]) + 1]++;
+            topo.place[static_cast<std::size_t>(link.a)].local) + 1]++;
         s.ladj_off[static_cast<std::size_t>(
-            topo.local_of[static_cast<std::size_t>(link.b)]) + 1]++;
+            topo.place[static_cast<std::size_t>(link.b)].local) + 1]++;
       }
       for (int v = 0; v < d; ++v)
         s.ladj_off[static_cast<std::size_t>(v) + 1] +=
@@ -339,8 +342,8 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
           const topology::Link& link =
               network.link(topo.dom_links[static_cast<std::size_t>(k)]);
           if (!node_active(link.a) || !node_active(link.b)) continue;
-          const int la = topo.local_of[static_cast<std::size_t>(link.a)];
-          const int lb = topo.local_of[static_cast<std::size_t>(link.b)];
+          const int la = topo.place[static_cast<std::size_t>(link.a)].local;
+          const int lb = topo.place[static_cast<std::size_t>(link.b)].local;
           std::int64_t at = cursor[static_cast<std::size_t>(la)]++;
           s.ladj_to[static_cast<std::size_t>(at)] = lb;
           s.ladj_lat[static_cast<std::size_t>(at)] = link.latency_s;
@@ -400,11 +403,34 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
           nrow[v] = p == ls ? static_cast<std::uint16_t>(v) : nrow[p];
         }
       }
+      // Node-major copy of the border columns: a node's distances to its
+      // domain's borders sit side by side, and neighbors with adjacent
+      // local ids share cache lines.
+      const std::int64_t border_lo = topo.dom_border_off[i];
+      const auto nb = static_cast<std::size_t>(topo.dom_border_off[i + 1] - border_lo);
+      dt.to_border.resize(static_cast<std::size_t>(d) * nb);
+      for (std::size_t x = 0; x < nb; ++x) {
+        const int border = topo.dom_borders[static_cast<std::size_t>(border_lo) + x];
+        const auto lb = static_cast<std::size_t>(
+            topo.place[static_cast<std::size_t>(
+                           topo.borders[static_cast<std::size_t>(border)])]
+                .local);
+        for (std::size_t l = 0; l < static_cast<std::size_t>(d); ++l)
+          dt.to_border[l * nb + x] = dt.dist[l * static_cast<std::size_t>(d) + lb];
+      }
       h.domains_[i] = std::make_shared<const DomainTable>(std::move(dt));
     };
     for (const DomainScratch& s :
          util::parallel_for(domains, kChunk, init, solve_domain))
       h.shared_domains_ += s.shared;
+  }
+  h.views_.resize(static_cast<std::size_t>(domains));
+  for (std::size_t i = 0; i < h.views_.size(); ++i) {
+    const DomainTable& dt = *h.domains_[i];
+    h.views_[i] = {dt.dist.data(), dt.to_border.data(),
+                   topo.dom_borders.data() + topo.dom_border_off[i], dt.size,
+                   static_cast<int>(topo.dom_border_off[i + 1] -
+                                    topo.dom_border_off[i])};
   }
 
   // ---- Exact border-to-border distances over the quotient graph ----
@@ -424,12 +450,12 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
           topo.dom_border_off[static_cast<std::size_t>(i) + 1];
       for (std::int64_t x = blo; x < bhi; ++x) {
         const int a = topo.dom_borders[static_cast<std::size_t>(x)];
-        const int la = topo.local_of[static_cast<std::size_t>(
-            topo.borders[static_cast<std::size_t>(a)])];
+        const int la = topo.place[static_cast<std::size_t>(
+            topo.borders[static_cast<std::size_t>(a)])].local;
         for (std::int64_t y = x + 1; y < bhi; ++y) {
           const int b = topo.dom_borders[static_cast<std::size_t>(y)];
-          const int lb = topo.local_of[static_cast<std::size_t>(
-              topo.borders[static_cast<std::size_t>(b)])];
+          const int lb = topo.place[static_cast<std::size_t>(
+              topo.borders[static_cast<std::size_t>(b)])].local;
           const double w = dt.dist[static_cast<std::size_t>(la) *
                                        static_cast<std::size_t>(dt.size) +
                                    static_cast<std::size_t>(lb)];
@@ -510,16 +536,41 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
   return h;
 }
 
-double HierarchicalRoutingTables::dist_to_border(int domain, NodeId x,
-                                                 int border) const {
-  const Topo& topo = *topo_;
-  const DomainTable& dt = domain_table(domain);
-  const int lx = topo.local_of[static_cast<std::size_t>(x)];
-  const int lb = topo.local_of[static_cast<std::size_t>(
-      topo.borders[static_cast<std::size_t>(border)])];
-  return dt.dist[static_cast<std::size_t>(lx) *
-                     static_cast<std::size_t>(dt.size) +
-                 static_cast<std::size_t>(lb)];
+HierarchicalRoutingTables::Endpoint HierarchicalRoutingTables::endpoint(
+    NodeId v) const {
+  const Topo::NodePlace place = topo_->place[static_cast<std::size_t>(v)];
+  const DomainView& view = views_[static_cast<std::size_t>(place.domain)];
+  return {place.domain, place.local,
+          view.to_border + static_cast<std::size_t>(place.local) *
+                               static_cast<std::size_t>(view.border_count),
+          view.borders, view.border_count};
+}
+
+double HierarchicalRoutingTables::via_borders(const Endpoint& s,
+                                              const Endpoint& t,
+                                              double best) const {
+  const std::size_t B = topo_->borders.size();
+  for (int x = 0; x < s.border_count; ++x) {
+    const double da = s.to_border[x];
+    if (!(da < best)) continue;  // da >= best (or inf) can't improve
+    const double* row =
+        border_dist_.data() + static_cast<std::size_t>(s.borders[x]) * B;
+    for (int y = 0; y < t.border_count; ++y) {
+      const double bd = row[t.borders[y]];
+      if (!(bd < kInf)) continue;
+      const double total = da + bd + t.to_border[y];
+      if (total < best) best = total;
+    }
+  }
+  return best;
+}
+
+double HierarchicalRoutingTables::intra_distance(const Endpoint& s,
+                                                 const Endpoint& t) const {
+  const DomainView& view = views_[static_cast<std::size_t>(s.domain)];
+  return view.dist[static_cast<std::size_t>(s.local) *
+                       static_cast<std::size_t>(view.size) +
+                   static_cast<std::size_t>(t.local)];
 }
 
 double HierarchicalRoutingTables::distance(NodeId src, NodeId dst) const {
@@ -531,48 +582,24 @@ double HierarchicalRoutingTables::distance(NodeId src, NodeId dst) const {
   }
   if (src == dst) return 0.0;
   if (!reach_.pair_reachable(src, dst)) return kInf;
-  const Topo& topo = *topo_;
-  const int i = topo.domain_of[static_cast<std::size_t>(src)];
-  const int j = topo.domain_of[static_cast<std::size_t>(dst)];
-  double best = kInf;
-  if (i == j) {
-    const DomainTable& dt = domain_table(i);
-    best = dt.dist[static_cast<std::size_t>(
-                       topo.local_of[static_cast<std::size_t>(src)]) *
-                       static_cast<std::size_t>(dt.size) +
-                   static_cast<std::size_t>(
-                       topo.local_of[static_cast<std::size_t>(dst)])];
-  }
-  const int B = static_cast<int>(topo.borders.size());
-  const std::int64_t ilo = topo.dom_border_off[static_cast<std::size_t>(i)];
-  const std::int64_t ihi = topo.dom_border_off[static_cast<std::size_t>(i) + 1];
-  const std::int64_t jlo = topo.dom_border_off[static_cast<std::size_t>(j)];
-  const std::int64_t jhi = topo.dom_border_off[static_cast<std::size_t>(j) + 1];
-  for (std::int64_t x = ilo; x < ihi; ++x) {
-    const int a = topo.dom_borders[static_cast<std::size_t>(x)];
-    const double da = dist_to_border(i, src, a);
-    if (!(da < best)) continue;  // da >= best (or inf) can't improve
-    const double* row = border_dist_.data() +
-                        static_cast<std::size_t>(a) * static_cast<std::size_t>(B);
-    for (std::int64_t y = jlo; y < jhi; ++y) {
-      const int b = topo.dom_borders[static_cast<std::size_t>(y)];
-      const double bd = row[b];
-      if (!(bd < kInf)) continue;
-      const double db = dist_to_border(j, dst, b);
-      const double total = da + bd + db;
-      if (total < best) best = total;
-    }
-  }
-  return best;
+  return resolved_distance(endpoint(src), endpoint(dst));
 }
 
-std::int64_t HierarchicalRoutingTables::best_neighbor(NodeId src,
-                                                      NodeId dst) const {
+double HierarchicalRoutingTables::resolved_distance(const Endpoint& s,
+                                                    const Endpoint& t) const {
+  return via_borders(s, t, s.domain == t.domain ? intra_distance(s, t) : kInf);
+}
+
+std::int64_t HierarchicalRoutingTables::best_neighbor(NodeId src, NodeId dst,
+                                                      const Endpoint& t) const {
   std::int64_t best = -1;
   double best_cost = kInf;
   for (std::int64_t k = adj_off_[static_cast<std::size_t>(src)];
        k < adj_off_[static_cast<std::size_t>(src) + 1]; ++k) {
-    const double dv = distance(adj_to_[static_cast<std::size_t>(k)], dst);
+    // Every neighbor is active and shares src's component (the adjacency
+    // holds live arcs only), so it reaches dst: score it directly.
+    const NodeId v = adj_to_[static_cast<std::size_t>(k)];
+    const double dv = v == dst ? 0.0 : resolved_distance(endpoint(v), t);
     if (!(dv < kInf)) continue;
     const double cost = adj_lat_[static_cast<std::size_t>(k)] + dv;
     // Strict improvement over ascending neighbor ids: exact ties resolve to
@@ -600,55 +627,30 @@ void HierarchicalRoutingTables::lookup(NodeId src, NodeId dst, NodeId* hop,
       !reach_.pair_reachable(src, dst)) {
     return;
   }
-  const Topo& topo = *topo_;
-  const int i = topo.domain_of[static_cast<std::size_t>(src)];
-  const int j = topo.domain_of[static_cast<std::size_t>(dst)];
-  if (i == j) {
-    // Same-domain fast path: when the restricted intra-domain route is
-    // already optimal (it almost always is), answer from the O(1) local
-    // first-hop table. Only when leaving the domain is strictly shorter
-    // does the neighbor argmin below take over.
-    const DomainTable& dt = domain_table(i);
-    const int ls = topo.local_of[static_cast<std::size_t>(src)];
-    const int lt = topo.local_of[static_cast<std::size_t>(dst)];
-    const double intra = dt.dist[static_cast<std::size_t>(ls) *
-                                     static_cast<std::size_t>(dt.size) +
-                                 static_cast<std::size_t>(lt)];
-    double detour = kInf;
-    const int B = static_cast<int>(topo.borders.size());
-    const std::int64_t blo = topo.dom_border_off[static_cast<std::size_t>(i)];
-    const std::int64_t bhi =
-        topo.dom_border_off[static_cast<std::size_t>(i) + 1];
-    for (std::int64_t x = blo; x < bhi; ++x) {
-      const int a = topo.dom_borders[static_cast<std::size_t>(x)];
-      const double da = dist_to_border(i, src, a);
-      if (!(da < detour)) continue;
-      const double* row = border_dist_.data() + static_cast<std::size_t>(a) *
-                                                    static_cast<std::size_t>(B);
-      for (std::int64_t y = blo; y < bhi; ++y) {
-        const int b = topo.dom_borders[static_cast<std::size_t>(y)];
-        if (!(row[b] < kInf)) continue;
-        const double total = da + row[b] + dist_to_border(i, dst, b);
-        if (total < detour) detour = total;
-      }
-    }
-    if (intra <= detour) {
-      const std::uint16_t local = dt.next[static_cast<std::size_t>(ls) *
-                                              static_cast<std::size_t>(dt.size) +
-                                          static_cast<std::size_t>(lt)];
-      MASSF_CHECK(local != kNoHop, "reachable intra pair without a first hop");
-      *hop = topo.dom_nodes[static_cast<std::size_t>(
-          topo.dom_node_off[static_cast<std::size_t>(i)] + local)];
-      // Resolve the hop's link from the adjacency (ascending neighbor ids).
-      const auto begin = adj_to_.begin() + adj_off_[static_cast<std::size_t>(src)];
-      const auto end = adj_to_.begin() + adj_off_[static_cast<std::size_t>(src) + 1];
-      const auto it = std::lower_bound(begin, end, *hop);
-      MASSF_CHECK(it != end && *it == *hop, "intra first hop missing from adjacency");
-      *link = adj_link_[static_cast<std::size_t>(it - adj_to_.begin())];
-      return;
-    }
+  const Endpoint t = endpoint(dst);
+  const Endpoint s = endpoint(src);
+  // Same-domain fast path: when the restricted intra-domain route is
+  // already optimal (it almost always is), answer from the O(1) local
+  // first-hop table. Only when leaving the domain is strictly shorter
+  // does the neighbor argmin below take over.
+  if (s.domain == t.domain && intra_distance(s, t) <= via_borders(s, t, kInf)) {
+    const Topo& topo = *topo_;
+    const DomainTable& dt = domain_table(s.domain);
+    const std::uint16_t local = dt.next[static_cast<std::size_t>(s.local) *
+                                            static_cast<std::size_t>(dt.size) +
+                                        static_cast<std::size_t>(t.local)];
+    MASSF_CHECK(local != kNoHop, "reachable intra pair without a first hop");
+    *hop = topo.dom_nodes[static_cast<std::size_t>(
+        topo.dom_node_off[static_cast<std::size_t>(s.domain)] + local)];
+    // Resolve the hop's link from the adjacency (ascending neighbor ids).
+    const auto begin = adj_to_.begin() + adj_off_[static_cast<std::size_t>(src)];
+    const auto end = adj_to_.begin() + adj_off_[static_cast<std::size_t>(src) + 1];
+    const auto it = std::lower_bound(begin, end, *hop);
+    MASSF_CHECK(it != end && *it == *hop, "intra first hop missing from adjacency");
+    *link = adj_link_[static_cast<std::size_t>(it - adj_to_.begin())];
+    return;
   }
-  const std::int64_t k = best_neighbor(src, dst);
+  const std::int64_t k = best_neighbor(src, dst, t);
   MASSF_CHECK(k >= 0, "reachable pair without a best neighbor");
   *hop = adj_to_[static_cast<std::size_t>(k)];
   *link = adj_link_[static_cast<std::size_t>(k)];
@@ -674,9 +676,11 @@ std::size_t HierarchicalRoutingTables::memory_bytes() const {
     if (!dt) continue;
     total += dt->dist.capacity() * sizeof(double) +
              dt->next.capacity() * sizeof(std::uint16_t) +
+             dt->to_border.capacity() * sizeof(double) +
              dt->node_mask.capacity() + dt->link_mask.capacity();
   }
   total += border_dist_.capacity() * sizeof(double);
+  total += views_.capacity() * sizeof(DomainView);
   total += active_.capacity();
   total += reach_.component.capacity() * sizeof(int);
   total += adj_off_.capacity() * sizeof(std::int64_t) +
@@ -685,8 +689,7 @@ std::size_t HierarchicalRoutingTables::memory_bytes() const {
            adj_lat_.capacity() * sizeof(double);
   if (topo_) {
     const Topo& t = *topo_;
-    total += t.domain_of.capacity() * sizeof(int) +
-             t.local_of.capacity() * sizeof(int) +
+    total += t.place.capacity() * sizeof(Topo::NodePlace) +
              t.dom_node_off.capacity() * sizeof(std::int64_t) +
              t.dom_nodes.capacity() * sizeof(NodeId) +
              t.dom_link_off.capacity() * sizeof(std::int64_t) +

@@ -103,6 +103,9 @@ class HierarchicalRoutingTables final : public RoutingView {
     int size = 0;                     // nodes in the domain
     std::vector<double> dist;         // size² restricted distances (+inf)
     std::vector<std::uint16_t> next;  // size² restricted first hops (local)
+    /// size × |borders| restricted distances from each node to each of the
+    /// domain's borders, node-major (a copy of dist's border columns).
+    std::vector<double> to_border;
     std::vector<char> node_mask;      // signature: this domain's nodes_up
     std::vector<char> link_mask;      // signature: this domain's intra links
   };
@@ -112,17 +115,43 @@ class HierarchicalRoutingTables final : public RoutingView {
   const DomainTable& domain_table(int domain) const {
     return *domains_[static_cast<std::size_t>(domain)];
   }
-  /// Restricted distance from node x to the border with global index b,
-  /// both in domain i (+inf when no intra path).
-  double dist_to_border(int domain, NodeId x, int border) const;
-  /// Neighbor argmin: the adjacency slot of the best next hop toward dst,
-  /// or -1 when no active neighbor reaches it.
-  std::int64_t best_neighbor(NodeId src, NodeId dst) const;
+  /// What a query needs of one domain, flat: pointers into its DomainTable
+  /// (kept alive by domains_) and its borders' indices.
+  struct DomainView {
+    const double* dist;
+    const double* to_border;
+    const int* borders;  // global border indices (Topo::dom_borders)
+    int size;
+    int border_count;
+  };
+  /// One end of a distance query, resolved once: the node's domain and
+  /// local id, its distances to its domain's borders and their indices.
+  struct Endpoint {
+    int domain;
+    int local;
+    const double* to_border;
+    const int* borders;
+    int border_count;
+  };
+  Endpoint endpoint(NodeId v) const;
+  /// Restricted distance between two nodes of one domain.
+  double intra_distance(const Endpoint& s, const Endpoint& t) const;
+  /// The border decomposition, written once for every query: the minimum
+  /// of `best` and every da + bd + db over borders a of s's domain and b of
+  /// t's, summed in that order.
+  double via_borders(const Endpoint& s, const Endpoint& t, double best) const;
+  /// Exact distance between two distinct active nodes of one component.
+  double resolved_distance(const Endpoint& s, const Endpoint& t) const;
+  /// Neighbor argmin: the adjacency slot of the best next hop toward dst
+  /// (resolved as `t`), or -1 when no active neighbor reaches it. Requires
+  /// what lookup() checks: src and dst active and in one component.
+  std::int64_t best_neighbor(NodeId src, NodeId dst, const Endpoint& t) const;
   void lookup(NodeId src, NodeId dst, NodeId* hop, LinkId* link) const;
 
   NodeId n_ = 0;
   std::shared_ptr<const Topo> topo_;
   std::vector<std::shared_ptr<const DomainTable>> domains_;
+  std::vector<DomainView> views_;    // one per domain, into domains_
   std::vector<double> border_dist_;  // B² exact border-to-border distances
   std::vector<char> active_;         // node up under the mask
   Reachability reach_;

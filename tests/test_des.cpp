@@ -523,6 +523,71 @@ TEST_P(PacketChannelModeEquivalence, HistoryIdenticalAcrossProtocolsAndModes) {
 INSTANTIATE_TEST_SUITE_P(LpCounts, PacketChannelModeEquivalence,
                          ::testing::Values(1, 2, 3, 4, 8));
 
+/// Tokens that hop forever, half the time to another LP: a run cut off by
+/// end_time always leaves events pending and mail in flight. Each LP counts
+/// the remote sends it makes in its own slot.
+class EndlessSink : public EventSink {
+ public:
+  EndlessSink(Kernel& kernel, int lps)
+      : kernel_(kernel), lps_(lps), sent_(static_cast<std::size_t>(lps), 0) {}
+
+  void on_packet_event(const PacketEvent& event) override {
+    const int lp = kernel_.current_lp();
+    const double now = kernel_.now();
+    const auto salt = static_cast<std::uint64_t>(event.node) * 0x9e3779b97f4a7c15ULL +
+                      static_cast<std::uint64_t>(now * 64.0);
+    if (lps_ > 1 && (salt >> 17) % 2 == 0) {
+      const int dst = (lp + 1 + static_cast<int>((salt >> 23) %
+                                                 static_cast<unsigned>(lps_ - 1))) %
+                      lps_;
+      kernel_.schedule_packet_remote(
+          dst, now + kernel_.channel_lookahead(lp, dst) + 0.125, event);
+      ++sent_[static_cast<std::size_t>(lp)];
+    } else {
+      kernel_.schedule_packet(lp, now + 0.25, event);
+    }
+  }
+
+  std::uint64_t sent() const {
+    std::uint64_t total = 0;
+    for (std::uint64_t s : sent_) total += s;
+    return total;
+  }
+
+ private:
+  Kernel& kernel_;
+  int lps_;
+  std::vector<std::uint64_t> sent_;
+};
+
+TEST(KernelStatsDeterminism, RemoteMessagesCountSendsWhenEventsRemainPending) {
+  for (const int lps : {2, 3, 4}) {
+    std::uint64_t expected = 0;
+    for (const SyncMode sync : {SyncMode::GlobalWindow, SyncMode::ChannelLookahead}) {
+      for (const ExecutionMode exec : {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
+        // Threaded runs repeat: what they count must not depend on timing.
+        for (int rep = 0; rep < (exec == ExecutionMode::Threaded ? 5 : 1); ++rep) {
+          SCOPED_TRACE(::testing::Message() << lps << " LPs, " << to_string(sync)
+                                            << ", exec " << static_cast<int>(exec)
+                                            << ", rep " << rep);
+          Kernel kernel(lps, 1.0);
+          kernel.set_sync_mode(sync);
+          EndlessSink sink(kernel, lps);
+          kernel.set_event_sink(&sink);
+          for (int n = 0; n < 16; ++n)
+            kernel.schedule_packet(n % lps, 0.0625 * n, {nullptr, n});
+          kernel.run_until(40.0, exec);
+          const std::uint64_t got = kernel.stats().remote_messages;
+          EXPECT_EQ(got, sink.sent());
+          if (expected == 0) expected = got;
+          EXPECT_EQ(got, expected);
+        }
+      }
+    }
+    EXPECT_GT(expected, 0u);
+  }
+}
+
 // ---- Outbox flush threshold (KernelTuning, branch-pinning) ---------------
 //
 // In Sequential ChannelLookahead the flush schedule is deterministic, so

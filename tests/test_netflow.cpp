@@ -4,6 +4,7 @@
 // order.
 #include <gtest/gtest.h>
 
+#include "ckpt/ckpt.hpp"
 #include "emu/emulator.hpp"
 #include "emu/netflow.hpp"
 #include "routing/routing.hpp"
@@ -70,6 +71,69 @@ TEST(NetFlow, SeriesPaddedToEqualWidth) {
   EXPECT_DOUBLE_EQ(series[0][0], 1.0);
   EXPECT_DOUBLE_EQ(series[1][7], 2.0);
   EXPECT_DOUBLE_EQ(series[0][7], 0.0);
+}
+
+TEST(NetFlow, CheckpointRoundTripIsByteIdentical) {
+  NetFlowCollector collector(4, 3, 1.0);
+  for (std::uint64_t flow : {900u, 7u, 300u, 42u})
+    collector.record_node(2, make_packet(0, 3, flow, 2, 3000), 0.25 * flow);
+  collector.record_node(0, make_packet(0, 3, 7, 1, 1500), 4.5);
+  collector.record_link(1, 1, make_packet(3, 0, 7, 1, 1500));
+  ckpt::Writer first;
+  collector.save(first);
+
+  NetFlowCollector restored(4, 3, 1.0);
+  ckpt::Reader reader(first.payload());
+  restored.load(reader);
+  ckpt::Writer second;
+  restored.save(second);
+  EXPECT_EQ(first.payload(), second.payload());
+  const auto flows = restored.node_flows(2);
+  ASSERT_EQ(flows.size(), 4u);
+  EXPECT_EQ(flows.front().flow, 7u);  // flow-id order, not first-seen order
+  EXPECT_EQ(flows.back().flow, 900u);
+  EXPECT_EQ(restored.node_packets(), collector.node_packets());
+  EXPECT_EQ(restored.node_series(), collector.node_series());
+}
+
+/// A one-node, zero-link NetFlow section whose node holds `flows` records.
+std::vector<unsigned char> crafted_section(const std::vector<std::uint64_t>& flows,
+                                           std::uint64_t claimed) {
+  ckpt::Writer w;
+  w.tag(0x6e666c77);  // "nflw"
+  w.f64(1.0);         // bucket width
+  w.u64(1);           // nodes
+  w.f64(static_cast<double>(flows.size()));
+  w.u64(0);           // link directions
+  w.u64(1);           // bucket row of node 0
+  w.f64(static_cast<double>(flows.size()));
+  w.u64(claimed);
+  for (std::uint64_t flow : flows) {
+    w.u64(flow);
+    w.f64(1);
+    w.f64(1500);
+    w.f64(0.5);
+    w.f64(0.5);
+  }
+  return w.payload();
+}
+
+TEST(NetFlow, LoadRejectsMalformedRecordLists) {
+  {
+    NetFlowCollector collector(1, 0, 1.0);
+    ckpt::Reader ok(crafted_section({3, 9}, 2));
+    collector.load(ok);
+    EXPECT_EQ(collector.node_flows(0).size(), 2u);
+  }
+  for (const auto& flows : {std::vector<std::uint64_t>{9, 3},
+                            std::vector<std::uint64_t>{5, 5}}) {
+    NetFlowCollector collector(1, 0, 1.0);
+    ckpt::Reader unordered(crafted_section(flows, 2));
+    EXPECT_THROW(collector.load(unordered), std::invalid_argument);
+  }
+  NetFlowCollector collector(1, 0, 1.0);
+  ckpt::Reader oversized(crafted_section({3}, 1ULL << 40));
+  EXPECT_THROW(collector.load(oversized), ckpt::CkptError);
 }
 
 // ---------------------------------------------------------------------------

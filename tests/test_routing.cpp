@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <map>
 #include <set>
+#include <string>
 
 #include "graph/algorithms.hpp"
 #include "routing/hierarchical.hpp"
@@ -452,6 +455,140 @@ TEST(HierarchicalRouting, RouteWalksMatchDenseAndScratchVariantAgrees) {
       hier.route_links_into(s, t, link_scratch);
       EXPECT_EQ(link_scratch, dense.route_links(s, t));
     }
+}
+
+/// Four hand-built domains of six routers (a ring plus one chord) and two
+/// hosts each, joined by inter-domain links from several routers per
+/// domain, so every domain has two or more borders and cross-domain
+/// distances take a real minimum over border pairs. One router pair is
+/// joined by two parallel links. Latencies are spread deterministically.
+Network multi_border_network() {
+  Network net;
+  constexpr int kDomains = 4;
+  constexpr int kRouters = 6;
+  int salt = 0;
+  const auto latency = [&salt] {
+    ++salt;
+    return topology::milliseconds(
+        1.0 + static_cast<double>((salt * 2654435761u) % 1000u) / 137.0);
+  };
+  std::vector<std::vector<NodeId>> routers(kDomains);
+  for (int d = 0; d < kDomains; ++d) {
+    for (int r = 0; r < kRouters; ++r) {
+      const NodeId v = net.add_router("d" + std::to_string(d) + "r" + std::to_string(r));
+      net.set_node_domain(v, d);
+      routers[static_cast<std::size_t>(d)].push_back(v);
+    }
+    const auto& rs = routers[static_cast<std::size_t>(d)];
+    for (int r = 0; r < kRouters; ++r)
+      net.add_link(rs[static_cast<std::size_t>(r)],
+                   rs[static_cast<std::size_t>((r + 1) % kRouters)],
+                   topology::Mbps(100), latency());
+    net.add_link(rs[0], rs[3], topology::Mbps(100), latency());
+    for (int h = 0; h < 2; ++h) {
+      const NodeId host = net.add_host("d" + std::to_string(d) + "h" + std::to_string(h));
+      net.set_node_domain(host, d);
+      net.add_link(host, rs[static_cast<std::size_t>(1 + 3 * h)],
+                   topology::Mbps(100), latency());
+    }
+  }
+  for (int d = 0; d < kDomains; ++d) {
+    const auto& here = routers[static_cast<std::size_t>(d)];
+    const auto& next = routers[static_cast<std::size_t>((d + 1) % kDomains)];
+    const auto& across = routers[static_cast<std::size_t>((d + 2) % kDomains)];
+    net.add_link(here[0], next[3], topology::Mbps(100), latency());
+    net.add_link(here[2], next[5], topology::Mbps(100), latency());
+    if (d < 2) net.add_link(here[4], across[1], topology::Mbps(100), latency());
+  }
+  net.add_link(routers[0][2], routers[1][5], topology::Mbps(100), latency());
+  return net;
+}
+
+/// Asserts next_hop/next_link at every pair equal the argmin over live
+/// neighbors v of (lowest live link latency to v) + distance(v, t), exact
+/// ties going to the lower neighbor id and, per neighbor, to the lower
+/// link id.
+void expect_argmin_over_distance(const Network& net,
+                                 const HierarchicalRoutingTables& hier,
+                                 const std::vector<char>& links_up,
+                                 const std::vector<char>& nodes_up) {
+  for (NodeId s = 0; s < net.node_count(); ++s) {
+    std::map<NodeId, std::pair<double, LinkId>> neighbors;
+    if (nodes_up[static_cast<std::size_t>(s)]) {
+      for (const LinkId l : net.incident_links(s)) {
+        const NodeId v = net.link_other_end(l, s);
+        if (!links_up[static_cast<std::size_t>(l)] ||
+            !nodes_up[static_cast<std::size_t>(v)])
+          continue;
+        const std::pair<double, LinkId> arc{net.link(l).latency_s, l};
+        const auto [it, fresh] = neighbors.emplace(v, arc);
+        if (!fresh && arc < it->second) it->second = arc;
+      }
+    }
+    for (NodeId t = 0; t < net.node_count(); ++t) {
+      if (s == t) continue;
+      NodeId hop = -1;
+      LinkId link = -1;
+      double best = std::numeric_limits<double>::infinity();
+      for (const auto& [v, arc] : neighbors) {
+        const double cost = arc.first + hier.distance(v, t);
+        if (cost < best) {
+          best = cost;
+          hop = v;
+          link = arc.second;
+        }
+      }
+      ASSERT_EQ(hier.next_hop(s, t), hop) << "next_hop at (" << s << ", " << t << ")";
+      ASSERT_EQ(hier.next_link(s, t), link) << "next_link at (" << s << ", " << t << ")";
+    }
+  }
+}
+
+TEST(HierarchicalRouting, MultiBorderDomainsPickTheArgminOverDistance) {
+  const Network net = multi_border_network();
+  const HierarchicalRoutingTables hier = HierarchicalRoutingTables::build(net);
+  ASSERT_EQ(hier.domain_count(), 4);
+  EXPECT_EQ(hier.border_count(), 20);  // five borders in every domain
+  std::vector<char> links_up(static_cast<std::size_t>(net.link_count()), 1);
+  std::vector<char> nodes_up(static_cast<std::size_t>(net.node_count()), 1);
+  expect_argmin_over_distance(net, hier, links_up, nodes_up);
+
+  // distance() is the shortest-path latency (Floyd-Warshall reference).
+  const auto n = static_cast<std::size_t>(net.node_count());
+  std::vector<double> ref(n * n, std::numeric_limits<double>::infinity());
+  for (std::size_t v = 0; v < n; ++v) ref[v * n + v] = 0;
+  for (LinkId l = 0; l < net.link_count(); ++l) {
+    const auto a = static_cast<std::size_t>(net.link(l).a);
+    const auto b = static_cast<std::size_t>(net.link(l).b);
+    ref[a * n + b] = ref[b * n + a] = std::min(ref[a * n + b], net.link(l).latency_s);
+  }
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        ref[i * n + j] = std::min(ref[i * n + j], ref[i * n + k] + ref[k * n + j]);
+  for (NodeId s = 0; s < net.node_count(); ++s)
+    for (NodeId t = 0; t < net.node_count(); ++t)
+      EXPECT_NEAR(hier.distance(s, t),
+                  ref[static_cast<std::size_t>(s) * n + static_cast<std::size_t>(t)],
+                  1e-12)
+          << "distance at (" << s << ", " << t << ")";
+
+  // Degraded: border router d1r3 down and the first of the two parallel
+  // d0r2-d1r5 links down, so routes move to other borders and the twin.
+  nodes_up[static_cast<std::size_t>(net.find_node("d1r3"))] = 0;
+  const NodeId d0r2 = net.find_node("d0r2");
+  for (const LinkId l : net.incident_links(d0r2)) {
+    if (net.link_other_end(l, d0r2) == net.find_node("d1r5")) {
+      links_up[static_cast<std::size_t>(l)] = 0;
+      break;
+    }
+  }
+  Reachability reach;
+  const HierarchicalRoutingTables degraded =
+      HierarchicalRoutingTables::build_partial(net, &reach, &links_up,
+                                               &nodes_up, &hier);
+  EXPECT_EQ(reach.inactive_nodes, 1);
+  expect_argmin_over_distance(net, degraded, links_up, nodes_up);
 }
 
 TEST(HierarchicalRouting, GoldenDigestsOfFullAndMaskedBuilds) {

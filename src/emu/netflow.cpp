@@ -51,30 +51,31 @@ FlowRecord& NetFlowCollector::NodeTable::find_or_add(std::uint64_t flow,
       if (record.flow == flow) return record;
     }
   }
-  // New flow. Keep the load factor at or below 3/4.
-  if (4 * (records.size() + 1) > 3 * slots.size())
-    rehash(std::max(kMinSlots, 2 * slots.size()));
+  // New flow: append it, then index it, growing the index once it would
+  // pass 3/4 full.
   MASSF_CHECK(records.size() < UINT32_MAX, "flow table index overflow");
-  const std::size_t mask = slots.size() - 1;
-  std::size_t i = home_slot(flow, mask);
-  while (slots[i] != 0) i = (i + 1) & mask;
   // massf-analyze: allow(hot-path-alloc) — flow-table growth: the dense
   // record array doubles, once per doubling of the node's flow count.
   records.push_back(FlowRecord{flow, 0, 0, t, 0});
-  slots[i] = static_cast<std::uint32_t>(records.size());
+  if (4 * records.size() > 3 * slots.size())
+    rehash(std::max(kMinSlots, 2 * slots.size()));
+  else
+    index(records.size() - 1);
   return records.back();
+}
+
+void NetFlowCollector::NodeTable::index(std::size_t r) {
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = home_slot(records[r].flow, mask);
+  while (slots[i] != 0) i = (i + 1) & mask;
+  slots[i] = static_cast<std::uint32_t>(r + 1);
 }
 
 void NetFlowCollector::NodeTable::rehash(std::size_t capacity) {
   // massf-analyze: allow(hot-path-alloc) — flow-table growth: the index
   // doubles, once per doubling of the node's flow count.
   slots.assign(capacity, 0);
-  const std::size_t mask = capacity - 1;
-  for (std::size_t r = 0; r < records.size(); ++r) {
-    std::size_t i = home_slot(records[r].flow, mask);
-    while (slots[i] != 0) i = (i + 1) & mask;
-    slots[i] = static_cast<std::uint32_t>(r + 1);
-  }
+  for (std::size_t r = 0; r < records.size(); ++r) index(r);
 }
 
 std::vector<FlowRecord> NetFlowCollector::NodeTable::sorted_records() const {

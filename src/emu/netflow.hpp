@@ -107,6 +107,8 @@ class NetFlowCollector {
 
     /// The record for `flow`, appended (first_seen = t) if it is new.
     FlowRecord& find_or_add(std::uint64_t flow, SimTime t);
+    /// Put record `r` into the first free slot from its home slot.
+    void index(std::size_t r);
     /// Index every record into a table of `capacity` slots.
     void rehash(std::size_t capacity);
     /// Records sorted by flow id.

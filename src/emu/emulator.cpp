@@ -684,6 +684,7 @@ void Emulator::deliver(NodeId at, const Packet& packet, SimTime t) {
 void Emulator::add_rebalance_safepoint(SimTime t) {
   MASSF_REQUIRE(!ran_, "add rebalance safepoints before run()");
   kernel_->add_safepoint(t);
+  rebalance_times_.push_back(t);
 }
 
 void Emulator::set_rebalance_hook(std::function<void(SimTime)> hook) {
@@ -782,9 +783,12 @@ int Emulator::migrate_nodes(const std::vector<int>& new_node_engine) {
 void Emulator::run(SimTime until, des::ExecutionMode mode) {
   MASSF_REQUIRE(!ran_, "run() may only be called once");
   if (pre_safepoint_hook_ || rebalance_hook_ || ckpt_enabled_) {
+    std::sort(rebalance_times_.begin(), rebalance_times_.end());
     kernel_->set_safepoint_hook([this](SimTime t) {
       if (pre_safepoint_hook_) pre_safepoint_hook_(t);
-      if (rebalance_hook_) rebalance_hook_(t);
+      if (rebalance_hook_ && std::binary_search(rebalance_times_.begin(),
+                                                rebalance_times_.end(), t))
+        rebalance_hook_(t);
       if (ckpt_enabled_) {
         bool due = false;
         while (ckpt_cursor_ < ckpt_times_.size() &&

@@ -287,8 +287,8 @@ class Emulator : private des::EventSink {
   void add_rebalance_safepoint(SimTime t);
 
   /// Install the hook invoked at every rebalance safe point (before
-  /// run()). The hook runs with all engines quiescent and all cross-engine
-  /// mailboxes drained.
+  /// run()); snapshot-only safepoints do not invoke it. The hook runs with
+  /// all engines quiescent and all cross-engine mailboxes drained.
   void set_rebalance_hook(std::function<void(SimTime)> hook);
 
   /// Re-map virtual nodes onto engines mid-run (safepoint-hook-only).
@@ -541,9 +541,12 @@ class Emulator : private des::EventSink {
   SimTime run_until_ = 0;
   bool ran_ = false;
   // Safepoint hook chain (run() installs one kernel hook that runs these in
-  // order: pre hook, rebalance hook, checkpoint write).
+  // order: pre hook, rebalance hook, checkpoint write). The rebalance hook
+  // fires only at its own instants, never at a snapshot-only safepoint, so
+  // checkpointing leaves an adaptive run's decisions untouched.
   std::function<void(SimTime)> pre_safepoint_hook_;
   std::function<void(SimTime)> rebalance_hook_;
+  std::vector<SimTime> rebalance_times_;  // sorted by run()
   // Checkpoint schedule state.
   CheckpointConfig ckpt_cfg_;
   bool ckpt_enabled_ = false;

@@ -8,8 +8,8 @@
 //     history_hash to the uninterrupted run, across both sync protocols ×
 //     both execution modes, with and without a random fault plan;
 //   * Experiment::run_supervised: retry-with-backoff from the latest valid
-//     snapshot, fallback past corrupted snapshots, and the cooperative
-//     watchdog.
+//     snapshot, fallback past corrupted snapshots, the cooperative
+//     watchdog, and a rebalance controller carried across a crash.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
+#include "ckpt_scenario.hpp"
 #include "core/pipeline.hpp"
 #include "des/kernel.hpp"
 #include "emu/emulator.hpp"
@@ -863,6 +864,79 @@ TEST(Supervised, RecoversUnderARandomFaultPlanAndRecordsItsSeed) {
   EXPECT_GE(res.restored_from, 0);
   EXPECT_EQ(res.metrics.history_hash, plain.history_hash);
   EXPECT_EQ(res.metrics.fault_seed, 7u);
+}
+
+TEST(Supervised, AdaptiveRunKeepsItsDecisionsAcrossACrash) {
+  // The rebalance controller rides in the snapshot's extra section: a crash
+  // mid-run restores it, and the supervised run (snapshots included) makes
+  // the same decisions with the same history as an unsupervised one.
+  const ckpt_scenario::AppNet fx;
+  constexpr double kAppHorizon = ckpt_scenario::kDuration + 2.0;
+  mapping::ExperimentSetup setup;
+  setup.network = &fx.net();
+  setup.routes = &fx.tables;
+  setup.workload = fx.workload(
+      {ckpt_scenario::Family::LbPeakEwma, ckpt_scenario::Family::Cbr});
+  setup.engines = 2;
+  setup.horizon = kAppHorizon;
+  setup.faults = &fx.timeline;
+  setup.emulator.reliable.base_timeout_s = 0.25;
+  mapping::Experiment ex(std::move(setup));
+  mapping::MappingResult mapped = ex.map(mapping::Approach::Top);
+  // Every node on engine 0 but the last host: real imbalance to act on.
+  mapped.node_engine.assign(static_cast<std::size_t>(fx.net().node_count()),
+                            0);
+  mapped.node_engine[static_cast<std::size_t>(fx.net().hosts().back())] = 1;
+
+  rebalance::RebalanceConfig rcfg;
+  rcfg.start_s = 1.0;
+  rcfg.period_s = 1.0;
+  rcfg.window_s = 30.0;
+  rcfg.max_safepoints = 5;
+  rcfg.policy.trigger = 0.05;
+  rcfg.policy.hysteresis = 1;
+  rcfg.policy.cooldown_s = 0.0;
+  rcfg.policy.min_gain_s = -1e9;  // accept any genuine imbalance win
+  rebalance::Controller controller(fx.net(), fx.tables, rcfg);
+  ex.set_emulator_hook([&controller](emu::Emulator& emulator, double horizon) {
+    controller.install(emulator, horizon);
+  });
+
+  const mapping::RunMetrics plain = ex.run(mapped);
+  const std::vector<rebalance::RebalanceDecision> expected =
+      controller.decisions();
+  ASSERT_EQ(expected.size(), 5u);
+  int migrations = 0;
+  for (const auto& d : expected) migrations += d.migrated ? 1 : 0;
+  EXPECT_GE(migrations, 2);
+
+  mapping::SuperviseOptions opt =
+      supervise_options(fresh_dir("sup_controller"));
+  opt.checkpoint_period_s = 1.5;  // snapshot-only safepoints between decisions
+  opt.keep = 8;
+  ckpt_scenario::carry_controller(opt, controller);
+  int after_calls = 0;
+  CrashGuard guard([&](const char* phase) {
+    if (std::strcmp(phase, "after-checkpoint") == 0 && ++after_calls == 2)
+      throw ckpt::InjectedCrash("chaos kill between two migrations");
+  });
+  const mapping::SuperviseResult res = ex.run_supervised(mapped, opt);
+  EXPECT_EQ(res.attempts, 2);
+  EXPECT_EQ(res.restored_from, 1);  // the t=3 snapshot
+  EXPECT_EQ(res.metrics.history_hash, plain.history_hash);
+
+  const std::vector<rebalance::RebalanceDecision>& got = controller.decisions();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "decision " << i);
+    EXPECT_EQ(got[i].t, expected[i].t);
+    EXPECT_EQ(got[i].imbalance, expected[i].imbalance);
+    EXPECT_EQ(got[i].projected_before, expected[i].projected_before);
+    EXPECT_EQ(got[i].projected_after, expected[i].projected_after);
+    EXPECT_EQ(got[i].migration_bytes, expected[i].migration_bytes);
+    EXPECT_EQ(got[i].nodes_moved, expected[i].nodes_moved);
+    EXPECT_EQ(got[i].migrated, expected[i].migrated);
+  }
 }
 
 }  // namespace

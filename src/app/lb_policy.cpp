@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ckpt/ckpt.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -29,12 +30,9 @@ class RoundRobin final : public LbPolicy {
     return chosen;
   }
 
-  void save_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(next_);
-  }
-  void load_state(const std::vector<std::uint64_t>& in) override {
-    MASSF_REQUIRE(in.size() == 1, "round-robin state is one word");
-    next_ = in[0] % backend_ids_.size();
+  void checkpoint(ckpt::Io& io) override {
+    io.u64(next_);
+    next_ %= backend_ids_.size();
   }
 
  private:
@@ -75,15 +73,8 @@ class LeastRequest final : public LbPolicy {
     if (outstanding_[backend] > 0) --outstanding_[backend];
   }
 
-  void save_state(std::vector<std::uint64_t>& out) const override {
-    for (std::int64_t v : outstanding_)
-      out.push_back(static_cast<std::uint64_t>(v));
-  }
-  void load_state(const std::vector<std::uint64_t>& in) override {
-    MASSF_REQUIRE(in.size() == outstanding_.size(),
-                  "least-request state is one word per backend");
-    for (std::size_t b = 0; b < in.size(); ++b)
-      outstanding_[b] = static_cast<std::int64_t>(in[b]);
+  void checkpoint(ckpt::Io& io) override {
+    for (std::int64_t& v : outstanding_) io.i64(v);
   }
 
  private:
@@ -145,20 +136,11 @@ class PeakEwma final : public LbPolicy {
     b.stamp_s = now;
   }
 
-  void save_state(std::vector<std::uint64_t>& out) const override {
-    for (const Backend& b : state_) {
-      out.push_back(bit_cast_u64(b.ewma_s));
-      out.push_back(bit_cast_u64(b.stamp_s));
-      out.push_back(static_cast<std::uint64_t>(b.outstanding));
-    }
-  }
-  void load_state(const std::vector<std::uint64_t>& in) override {
-    MASSF_REQUIRE(in.size() == 3 * state_.size(),
-                  "peak-EWMA state is three words per backend");
-    for (std::size_t b = 0; b < state_.size(); ++b) {
-      state_[b].ewma_s = bit_cast_f64(in[3 * b]);
-      state_[b].stamp_s = bit_cast_f64(in[3 * b + 1]);
-      state_[b].outstanding = static_cast<std::int64_t>(in[3 * b + 2]);
+  void checkpoint(ckpt::Io& io) override {
+    for (Backend& b : state_) {
+      io.f64(b.ewma_s);
+      io.f64(b.stamp_s);
+      io.i64(b.outstanding);
     }
   }
 
@@ -177,18 +159,6 @@ class PeakEwma final : public LbPolicy {
   double cost(std::size_t backend, double now) const {
     const Backend& b = state_[backend];
     return decayed(b, now) * static_cast<double>(b.outstanding + 1);
-  }
-
-  static std::uint64_t bit_cast_u64(double v) {
-    std::uint64_t word;
-    static_assert(sizeof(word) == sizeof(v));
-    __builtin_memcpy(&word, &v, sizeof(word));
-    return word;
-  }
-  static double bit_cast_f64(std::uint64_t word) {
-    double v;
-    __builtin_memcpy(&v, &word, sizeof(v));
-    return v;
   }
 
   double tau_;

@@ -20,6 +20,10 @@
 #include <string>
 #include <vector>
 
+namespace massf::ckpt {
+class Io;
+}  // namespace massf::ckpt
+
 namespace massf::app {
 
 enum class PolicyKind : std::uint8_t {
@@ -85,12 +89,9 @@ class LbPolicy {
     return backend_ids_;
   }
 
-  /// Checkpoint support, mirroring AppEndpoint::save_state/load_state:
-  /// mutable policy state as opaque 64-bit words (doubles bit-cast).
-  virtual void save_state(std::vector<std::uint64_t>& out) const {
-    (void)out;
-  }
-  virtual void load_state(const std::vector<std::uint64_t>& in) { (void)in; }
+  /// Checkpoint walk over mutable policy state, framed like
+  /// AppEndpoint::checkpoint: a block of 8-byte words (u64/i64/f64 fields).
+  virtual void checkpoint(ckpt::Io& io) { (void)io; }
 
  protected:
   explicit LbPolicy(std::vector<std::uint64_t> backend_ids);

@@ -3,26 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "ckpt/ckpt.hpp"
 #include "util/error.hpp"
 
 namespace massf::app {
-
-namespace {
-
-std::uint64_t u64_of_f64(double v) {
-  std::uint64_t word;
-  static_assert(sizeof(word) == sizeof(v));
-  __builtin_memcpy(&word, &v, sizeof(word));
-  return word;
-}
-
-double f64_of_u64(std::uint64_t word) {
-  double v;
-  __builtin_memcpy(&v, &word, sizeof(v));
-  return v;
-}
-
-}  // namespace
 
 // ---- ServerEndpoint --------------------------------------------------------
 
@@ -89,43 +73,14 @@ void ServerEndpoint::on_timer(emu::AppApi& api, std::int64_t tag) {
     api.send(job.reply_to, params_.response_bytes, kTagResponse, job.corr);
 }
 
-void ServerEndpoint::save_state(std::vector<std::uint64_t>& out) const {
-  for (std::uint64_t w : rng_.state()) out.push_back(w);
-  out.push_back(job_seq_);
-  for (double f : worker_free_) out.push_back(u64_of_f64(f));
-  // Hash-map iteration order is nondeterministic; serialize sorted by key.
-  std::vector<std::pair<std::uint64_t, Job>> jobs(jobs_.begin(), jobs_.end());
-  std::sort(jobs.begin(), jobs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.push_back(jobs.size());
-  for (const auto& [seq, job] : jobs) {
-    out.push_back(seq);
-    out.push_back(static_cast<std::uint64_t>(job.reply_to));
-    out.push_back(job.corr);
-  }
-}
-
-void ServerEndpoint::load_state(const std::vector<std::uint64_t>& in) {
-  std::size_t i = 0;
-  const auto next = [&] {
-    MASSF_REQUIRE(i < in.size(), "server snapshot state truncated");
-    return in[i++];
-  };
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& w : rng_state) w = next();
-  rng_.set_state(rng_state);
-  job_seq_ = next();
-  for (double& f : worker_free_) f = f64_of_u64(next());
-  const std::uint64_t jobs = next();
-  jobs_.clear();
-  for (std::uint64_t j = 0; j < jobs; ++j) {
-    const std::uint64_t seq = next();
-    Job job;
-    job.reply_to = static_cast<NodeId>(next());
-    job.corr = next();
-    jobs_.emplace(seq, job);
-  }
-  MASSF_REQUIRE(i == in.size(), "server snapshot state has extra words");
+void ServerEndpoint::checkpoint(ckpt::Io& io) {
+  io.rng(rng_);
+  io.u64(job_seq_);
+  for (double& f : worker_free_) io.f64(f);
+  io.sorted_map(jobs_, 24, "server job count", [&io](Job& job) {
+    io.i64(job.reply_to);
+    io.u64(job.corr);
+  });
 }
 
 // ---- LoadBalancerEndpoint --------------------------------------------------
@@ -207,60 +162,21 @@ void LoadBalancerEndpoint::on_send_failed(emu::AppApi& api,
   ++counters_->backend_errors;
 }
 
-void LoadBalancerEndpoint::save_state(std::vector<std::uint64_t>& out) const {
-  out.push_back(flight_seq_);
-  std::vector<std::uint64_t> policy_words;
-  policy_->save_state(policy_words);
-  out.push_back(policy_words.size());
-  for (std::uint64_t w : policy_words) out.push_back(w);
-  std::vector<std::pair<std::uint64_t, Flight>> flights(inflight_.begin(),
-                                                        inflight_.end());
-  std::sort(flights.begin(), flights.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.push_back(flights.size());
-  for (const auto& [seq, f] : flights) {
-    out.push_back(seq);
-    out.push_back(static_cast<std::uint64_t>(f.client));
-    out.push_back(f.client_corr);
-    out.push_back(u64_of_f64(f.bytes));
-    out.push_back(u64_of_f64(f.t0));
-    out.push_back(f.backend);
-  }
-  out.push_back(counters_->requests_forwarded);
-  out.push_back(counters_->responses_relayed);
-  out.push_back(counters_->backend_errors);
-  out.push_back(counters_->relay_errors);
-  out.push_back(counters_->stale_responses);
-}
-
-void LoadBalancerEndpoint::load_state(const std::vector<std::uint64_t>& in) {
-  std::size_t i = 0;
-  const auto next = [&] {
-    MASSF_REQUIRE(i < in.size(), "LB snapshot state truncated");
-    return in[i++];
-  };
-  flight_seq_ = next();
-  std::vector<std::uint64_t> policy_words(next());
-  for (std::uint64_t& w : policy_words) w = next();
-  policy_->load_state(policy_words);
-  const std::uint64_t flights = next();
-  inflight_.clear();
-  for (std::uint64_t n = 0; n < flights; ++n) {
-    const std::uint64_t seq = next();
-    Flight f;
-    f.client = static_cast<NodeId>(next());
-    f.client_corr = next();
-    f.bytes = f64_of_u64(next());
-    f.t0 = f64_of_u64(next());
-    f.backend = static_cast<std::uint32_t>(next());
-    inflight_.emplace(seq, f);
-  }
-  counters_->requests_forwarded = next();
-  counters_->responses_relayed = next();
-  counters_->backend_errors = next();
-  counters_->relay_errors = next();
-  counters_->stale_responses = next();
-  MASSF_REQUIRE(i == in.size(), "LB snapshot state has extra words");
+void LoadBalancerEndpoint::checkpoint(ckpt::Io& io) {
+  io.u64(flight_seq_);
+  io.block("LB policy state", [&] { policy_->checkpoint(io); });
+  io.sorted_map(inflight_, 48, "LB flight count", [&io](Flight& f) {
+    io.i64(f.client);
+    io.u64(f.client_corr);
+    io.f64(f.bytes);
+    io.f64(f.t0);
+    io.u64(f.backend);
+  });
+  io.u64(counters_->requests_forwarded);
+  io.u64(counters_->responses_relayed);
+  io.u64(counters_->backend_errors);
+  io.u64(counters_->relay_errors);
+  io.u64(counters_->stale_responses);
 }
 
 // ---- ClientEndpoint --------------------------------------------------------
@@ -332,45 +248,15 @@ void ClientEndpoint::on_send_failed(emu::AppApi& api,
   ++counters_->send_failures;
 }
 
-void ClientEndpoint::save_state(std::vector<std::uint64_t>& out) const {
-  for (std::uint64_t w : rng_.state()) out.push_back(w);
-  out.push_back(seq_);
-  std::vector<std::pair<std::uint64_t, double>> pending(outstanding_.begin(),
-                                                        outstanding_.end());
-  std::sort(pending.begin(), pending.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.push_back(pending.size());
-  for (const auto& [corr, t0] : pending) {
-    out.push_back(corr);
-    out.push_back(u64_of_f64(t0));
-  }
-  out.push_back(counters_->requests_sent);
-  out.push_back(counters_->responses_received);
-  out.push_back(counters_->send_failures);
-  out.push_back(counters_->stale_responses);
-}
-
-void ClientEndpoint::load_state(const std::vector<std::uint64_t>& in) {
-  std::size_t i = 0;
-  const auto next = [&] {
-    MASSF_REQUIRE(i < in.size(), "client snapshot state truncated");
-    return in[i++];
-  };
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& w : rng_state) w = next();
-  rng_.set_state(rng_state);
-  seq_ = next();
-  const std::uint64_t pending = next();
-  outstanding_.clear();
-  for (std::uint64_t n = 0; n < pending; ++n) {
-    const std::uint64_t corr = next();
-    outstanding_.emplace(corr, f64_of_u64(next()));
-  }
-  counters_->requests_sent = next();
-  counters_->responses_received = next();
-  counters_->send_failures = next();
-  counters_->stale_responses = next();
-  MASSF_REQUIRE(i == in.size(), "client snapshot state has extra words");
+void ClientEndpoint::checkpoint(ckpt::Io& io) {
+  io.rng(rng_);
+  io.u64(seq_);
+  io.sorted_map(outstanding_, 16, "client request count",
+                [&io](double& t0) { io.f64(t0); });
+  io.u64(counters_->requests_sent);
+  io.u64(counters_->responses_received);
+  io.u64(counters_->send_failures);
+  io.u64(counters_->stale_responses);
 }
 
 }  // namespace massf::app

@@ -83,8 +83,7 @@ class ServerEndpoint : public emu::AppEndpoint {
   void receive(emu::AppApi& api, const emu::AppMessage& message) override;
   void on_timer(emu::AppApi& api, std::int64_t tag) override;
 
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(const std::vector<std::uint64_t>& in) override;
+  void checkpoint(ckpt::Io& io) override;
 
  private:
   double draw_service();
@@ -139,8 +138,7 @@ class LoadBalancerEndpoint : public emu::AppEndpoint {
   void on_send_failed(emu::AppApi& api,
                       const emu::AppMessage& message) override;
 
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(const std::vector<std::uint64_t>& in) override;
+  void checkpoint(ckpt::Io& io) override;
 
   const LbPolicy& policy() const { return *policy_; }
 
@@ -206,8 +204,7 @@ class ClientEndpoint : public emu::AppEndpoint {
   void on_send_failed(emu::AppApi& api,
                       const emu::AppMessage& message) override;
 
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(const std::vector<std::uint64_t>& in) override;
+  void checkpoint(ckpt::Io& io) override;
 
  private:
   void arm_next(emu::AppApi& api);

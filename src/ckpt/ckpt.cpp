@@ -7,6 +7,9 @@
 #include <filesystem>
 #include <sstream>
 
+#include "util/error.hpp"
+#include "util/rng.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #define MASSF_CKPT_HAVE_FSYNC 1
@@ -99,6 +102,11 @@ void Writer::f64(double v) {
 void Writer::str(const std::string& s) {
   u64(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());
+}
+
+void Writer::patch_u64(std::size_t at, std::uint64_t v) {
+  MASSF_CHECK(at + 8 <= buf_.size(), "patch past the end of the payload");
+  put_u64(buf_.data() + at, v);
 }
 
 void Writer::commit(const std::string& path) const {
@@ -201,16 +209,20 @@ Reader Reader::from_file(const std::string& path) {
   return Reader(std::move(payload), path);
 }
 
+void Reader::fail(std::size_t at, const std::string& what) const {
+  std::ostringstream os;
+  os << "checkpoint";
+  if (!source_.empty()) os << " '" << source_ << "'";
+  os << ": " << what << " at offset " << at;
+  throw CkptError(os.str());
+}
+
 void Reader::need(std::size_t n, const char* what) {
-  if (buf_.size() - pos_ < n) {
-    std::ostringstream os;
-    os << "checkpoint";
-    if (!source_.empty()) os << " '" << source_ << "'";
-    os << ": payload ended while reading " << what << " at offset " << pos_
-       << " (" << (buf_.size() - pos_) << " of " << n
-       << " bytes available) — layout mismatch or truncated section";
-    throw CkptError(os.str());
-  }
+  if (remaining() < n)
+    fail(pos_, std::string("payload ended while reading ") + what + " (" +
+                   std::to_string(remaining()) + " of " + std::to_string(n) +
+                   " bytes available) — layout mismatch or truncated "
+                   "section");
 }
 
 std::uint8_t Reader::u8() {
@@ -255,12 +267,10 @@ void Reader::expect_tag(std::uint32_t t, const char* what) {
   const std::uint32_t actual = u32();
   if (actual != t) {
     std::ostringstream os;
-    os << "checkpoint";
-    if (!source_.empty()) os << " '" << source_ << "'";
-    os << ": expected section '" << what << "' (tag 0x" << std::hex << t
-       << ") at offset " << std::dec << at << " but found tag 0x" << std::hex
-       << actual << " — snapshot layout does not match this build";
-    throw CkptError(os.str());
+    os << "expected section '" << what << "' (tag 0x" << std::hex << t
+       << ") but found tag 0x" << actual
+       << " — snapshot layout does not match this build";
+    fail(at, os.str());
   }
 }
 
@@ -268,15 +278,55 @@ std::uint64_t Reader::bounded_count(std::size_t min_bytes,
                                     const char* what) {
   const std::size_t at = pos_;
   const std::uint64_t n = u64();
-  if (n > remaining() / min_bytes) {
-    std::ostringstream os;
-    os << "checkpoint";
-    if (!source_.empty()) os << " '" << source_ << "'";
-    os << ": " << what << " " << n << " at offset " << at << " exceeds the "
-       << remaining() << " bytes left in the payload — corrupt count";
-    throw CkptError(os.str());
-  }
+  if (n > remaining() / min_bytes)
+    fail(at, std::string(what) + " " + std::to_string(n) + " exceeds the " +
+                 std::to_string(remaining()) +
+                 " bytes left in its section — corrupt count");
   return n;
+}
+
+void Reader::leave(std::size_t outer, const char* what) {
+  if (pos_ != end_)
+    fail(pos_, std::string(what) + " stopped " +
+                   std::to_string(end_ - pos_) +
+                   " bytes short of its recorded length — layout mismatch");
+  end_ = outer;
+}
+
+void Io::flag(bool& v) {
+  std::uint8_t byte = v ? 1 : 0;
+  u8(byte);
+  v = byte != 0;
+}
+
+void Io::f64s(std::vector<double>& v, const char* what) {
+  v.resize(bounded_count(v.size(), sizeof(double), what));
+  for (double& x : v) f64(x);
+}
+
+void Io::rng(Rng& rng) {
+  std::array<std::uint64_t, 4> state = rng.state();
+  for (std::uint64_t& word : state) u64(word);
+  if (reading()) rng.set_state(state);
+}
+
+std::size_t Io::open_block(const char* what) {
+  if (r_) return r_->enter(8 * r_->bounded_count(8, what));
+  const std::size_t at = w_->size();
+  w_->u64(0);  // the word count, patched by close_block
+  return at;
+}
+
+void Io::close_block(std::size_t mark, const char* what) {
+  if (r_) {
+    r_->leave(mark, what);
+    return;
+  }
+  const std::size_t bytes = w_->size() - mark - 8;
+  MASSF_CHECK(bytes % 8 == 0,
+              what << " must walk whole 8-byte words (wrote " << bytes
+                   << " bytes)");
+  w_->patch_u64(mark, bytes / 8);
 }
 
 std::string checkpoint_filename(std::uint64_t seq) {

@@ -4,6 +4,9 @@
 // The format is deliberately dumb: a fixed header (magic, format version,
 // payload size, CRC32 of the payload) followed by a flat little-endian
 // payload that the kernel/emulator serialize into section-tagged fields.
+// Each checkpointed type lists its fields once, in a walk over an Io that
+// either writes them (wrapping a Writer) or reads them back (wrapping a
+// Reader), so the save and restore layouts cannot drift apart.
 // Writer buffers the whole payload in memory and commits it in one shot:
 // write to `<path>.tmp`, flush, fsync, then rename(2) over `<path>` — so a
 // crash at any point during checkpointing leaves either the previous
@@ -13,13 +16,19 @@
 // the offending section.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+namespace massf {
+class Rng;
+}  // namespace massf
 
 namespace massf::ckpt {
 
@@ -68,6 +77,8 @@ class Writer {
 
   std::size_t size() const { return buf_.size(); }
   const std::vector<unsigned char>& payload() const { return buf_; }
+  /// Overwrite the u64 written at byte offset `at` (a back-patched count).
+  void patch_u64(std::size_t at, std::uint64_t v);
 
   /// Atomically publish header+payload at `path` (tmp write, flush, fsync,
   /// rename). Calls maybe_crash("mid-write") after the tmp file is durable
@@ -88,7 +99,7 @@ class Reader {
   static Reader from_file(const std::string& path);
 
   explicit Reader(std::vector<unsigned char> payload, std::string source = "")
-      : buf_(std::move(payload)), source_(std::move(source)) {}
+      : buf_(std::move(payload)), end_(buf_.size()), source_(std::move(source)) {}
 
   std::uint8_t u8();
   std::uint32_t u32();
@@ -102,14 +113,130 @@ class Reader {
   /// corrupt count never sizes an allocation.
   std::uint64_t bounded_count(std::size_t min_bytes, const char* what);
 
-  std::size_t remaining() const { return buf_.size() - pos_; }
+  /// Bytes left before the end of the payload, or of the enclosing block.
+  std::size_t remaining() const { return end_ - pos_; }
+
+  /// Confine reads to the next `bytes` bytes (at most remaining()); returns
+  /// the enclosing end for leave().
+  std::size_t enter(std::size_t bytes) {
+    const std::size_t outer = end_;
+    end_ = pos_ + bytes;
+    return outer;
+  }
+  /// Close a block opened by enter(): throws CkptError naming `what` unless
+  /// its body consumed every byte, then restores the enclosing end.
+  void leave(std::size_t outer, const char* what);
 
  private:
   void need(std::size_t n, const char* what);
+  void fail(std::size_t at, const std::string& what) const;
 
   std::vector<unsigned char> buf_;
   std::size_t pos_ = 0;
+  std::size_t end_;  // reads stop here: the payload end, or a block's
   std::string source_;
+};
+
+/// One field walk for both directions. Wrapping a Writer, `io.u64(x)`
+/// appends x; wrapping a Reader, it reads the next field into x. A
+/// checkpointed type therefore lists its fields once, in one
+/// `checkpoint(Io&)` walk, and the few steps that really differ by
+/// direction (validating live state, rebuilding derived structures) test
+/// reading(). Every count read back is bounded by the bytes left, so a
+/// corrupt snapshot raises CkptError before it can size an allocation.
+class Io {
+ public:
+  explicit Io(Writer& w) : w_(&w) {}
+  explicit Io(Reader& r) : r_(&r) {}
+
+  bool reading() const { return r_ != nullptr; }
+
+  void u8(std::uint8_t& v) { if (r_) v = r_->u8(); else w_->u8(v); }
+  void u32(std::uint32_t& v) { if (r_) v = r_->u32(); else w_->u32(v); }
+  void f64(double& v) { if (r_) v = r_->f64(); else w_->f64(v); }
+  /// One byte: 1 for true, 0 for false (any nonzero byte reads as true).
+  void flag(bool& v);
+  /// Any unsigned integer as 8 bytes: narrower types widen on write and
+  /// narrow back on read.
+  template <typename UInt>
+  void u64(UInt& v) {
+    static_assert(std::is_unsigned_v<UInt> && !std::is_same_v<UInt, bool>);
+    if (r_)
+      v = static_cast<UInt>(r_->u64());
+    else
+      w_->u64(v);
+  }
+  /// Any signed integer as 8 bytes of two's complement, widened the same
+  /// way.
+  template <typename Int>
+  void i64(Int& v) {
+    static_assert(std::is_signed_v<Int> && std::is_integral_v<Int>);
+    if (r_)
+      v = static_cast<Int>(r_->i64());
+    else
+      w_->i64(v);
+  }
+  /// Section marker: written, or checked against the snapshot.
+  void tag(std::uint32_t t, const char* what) {
+    if (r_) r_->expect_tag(t, what); else w_->tag(t);
+  }
+
+  /// An element count: `n` is written as is; reading returns the stored
+  /// count, rejected with CkptError when the bytes left cannot hold that
+  /// many elements of at least `min_bytes` each.
+  std::uint64_t bounded_count(std::uint64_t n, std::size_t min_bytes,
+                      const char* what) {
+    if (r_) return r_->bounded_count(min_bytes, what);
+    w_->u64(n);
+    return n;
+  }
+
+  /// A vector of doubles behind its count.
+  void f64s(std::vector<double>& v, const char* what);
+  /// A random stream's full state (four words).
+  void rng(Rng& rng);
+
+  /// A hash map walked in ascending key order, so the bytes never depend
+  /// on the table layout: its count, then each key followed by
+  /// `value(mapped&)`. Reading replaces the map's contents. Each entry
+  /// occupies at least `min_bytes`.
+  template <typename Map, typename Value>
+  void sorted_map(Map& map, std::size_t min_bytes, const char* what,
+                  Value&& value) {
+    std::vector<std::pair<std::uint64_t, typename Map::mapped_type>> entries;
+    if (!reading()) {
+      entries.assign(map.begin(), map.end());
+      std::sort(entries.begin(), entries.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+    }
+    entries.resize(bounded_count(entries.size(), min_bytes, what));
+    for (auto& [key, mapped] : entries) {
+      u64(key);
+      value(mapped);
+    }
+    if (reading()) {
+      map.clear();
+      map.insert(entries.begin(), entries.end());
+    }
+  }
+
+  /// A block prefixed by the number of 8-byte words `body()` walks (the
+  /// count is back-patched when writing). Reading confines the body to
+  /// exactly those words: it can neither read past them nor stop short
+  /// without a CkptError naming `what`.
+  template <typename Body>
+  void block(const char* what, Body&& body) {
+    const std::size_t mark = open_block(what);
+    body();
+    close_block(mark, what);
+  }
+
+ private:
+  std::size_t open_block(const char* what);
+  void close_block(std::size_t mark, const char* what);
+
+  Writer* w_ = nullptr;
+  Reader* r_ = nullptr;
 };
 
 /// "ckpt_000000000042.bin" — fixed width so lexical order == numeric order.

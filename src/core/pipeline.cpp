@@ -298,7 +298,8 @@ RunMetrics Experiment::supervised_attempt(const MappingResult& mapping,
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
     try {
       ckpt::Reader reader = ckpt::Reader::from_file(it->second);
-      emulator->restore(reader, options.load_extra);
+      ckpt::Io io(reader);
+      emulator->checkpoint(io, options.extra);
       restored_seq = static_cast<std::int64_t>(it->first);
       break;
     } catch (const ckpt::CkptError& error) {
@@ -315,7 +316,7 @@ RunMetrics Experiment::supervised_attempt(const MappingResult& mapping,
   cfg.first_s = options.first_checkpoint_s;
   cfg.keep = options.keep;
   cfg.first_seq = static_cast<std::uint64_t>(restored_seq + 1);
-  cfg.save_extra = options.save_extra;
+  cfg.extra = options.extra;
   cfg.on_checkpoint = [&result](std::uint64_t, const std::string&) {
     ++result.checkpoints_written;
   };

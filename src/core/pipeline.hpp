@@ -148,10 +148,9 @@ struct SuperviseOptions {
   int max_attempts = 3;
   /// Wall-clock pause between attempts (simple fixed backoff).
   double retry_backoff_s = 0;
-  /// Extra state appended to / restored from each snapshot (e.g. a
-  /// rebalance::Controller's save_state / load_state).
-  std::function<void(ckpt::Writer&)> save_extra;
-  std::function<void(ckpt::Reader&)> load_extra;
+  /// Walks extra state appended to and restored from each snapshot (e.g. a
+  /// rebalance::Controller's checkpoint walk).
+  std::function<void(ckpt::Io&)> extra;
 };
 
 /// Outcome of a supervised run.

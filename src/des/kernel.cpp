@@ -309,8 +309,9 @@ struct Kernel::Impl {
     return channel_of[src * lps.size() + dst];
   }
 
-  /// Drop the whole channel graph so restore_checkpoint can rebuild it from
-  /// the snapshot (registration order and per-channel stats included).
+  /// Drop the whole channel graph so a restoring checkpoint walk can
+  /// rebuild it from the snapshot (registration order and per-channel
+  /// stats included).
   /// Pre-run only: setup-time channels hold no events.
   void clear_channels() {
     channels.clear();
@@ -791,124 +792,42 @@ std::uint64_t Kernel::events_executed(int lp) const {
 // ---- Checkpoint / restore -------------------------------------------------
 
 // massf-analyze: determinism-root (every byte written must be reproducible)
-void Kernel::save_checkpoint(
-    ckpt::Writer& w,
-    const std::function<void(ckpt::Writer&, const PacketEvent&)>& save_payload)
-    const {
-  MASSF_REQUIRE(in_safepoint_,
-                "save_checkpoint may only be called from a safepoint hook — "
-                "the quiescent pause is what makes the kernel state well "
-                "defined");
-  MASSF_REQUIRE(save_payload, "packet payload serializer must be callable");
-
-  // Quiescence audit. The safepoint protocol guarantees all of this (see
-  // drain_all_channels and WindowRun's phase order); a violation
-  // here means pending events would be silently dropped from the snapshot.
-  for (const Impl::Lp& lp : impl_->lps) {
-    MASSF_CHECK(lp.dirty_dsts.empty() && lp.pending_sources.empty(),
-                "safepoint quiescence violated: staged cross-LP routing");
-    for (const Impl::Outbox& box : lp.outbox)
-      MASSF_CHECK(box.events.empty(),
-                  "safepoint quiescence violated: non-empty outbox slot");
-  }
-  for (const auto& ch : impl_->channels)
-    MASSF_CHECK(ch->tail->next.load(std::memory_order_acquire) == nullptr,
-                "safepoint quiescence violated: undrained channel run");
-
-  w.tag(kTagKernel);
-  w.u32(static_cast<std::uint32_t>(lp_count_));
-  w.u8(static_cast<std::uint8_t>(sync_mode_));
-  w.f64(cost_.per_event);
-  w.f64(cost_.per_remote_message);
-  w.f64(cost_.per_window_sync);
-  w.f64(lookahead_);
-  w.f64(stats_.bucket_width);
-  w.f64(sim_position_);
-  w.f64(now());  // the safepoint time — the restored run resumes here
-
-  // Live aggregate counters. GlobalWindow charges the safepoint rendezvous
-  // *after* the hook returns (WindowRun::decide), and the restored run
-  // skips this safepoint entirely, so the charge is folded into the
-  // snapshot here. Channel mode recomputes both times in
-  // ChannelRun::finish from counters that are all saved below.
-  double modeled = stats_.modeled_time;
-  double coupled = stats_.coupled_time;
-  if (sync_mode_ == SyncMode::GlobalWindow) {
-    modeled += cost_.per_window_sync;
-    coupled += cost_.per_window_sync;
-  }
-  w.u64(stats_.windows);
-  w.u64(stats_.safepoints);  // already counts the in-progress safepoint
-  w.u64(stats_.idle_jumps);
-  w.u64(stats_.events_rehomed);
-  w.f64(modeled);
-  w.f64(coupled);
-
-  w.tag(kTagChannels);
-  w.u64(impl_->channels.size());
-  for (const auto& ch : impl_->channels) {
-    w.u32(ch->src);
-    w.u32(ch->dst);
-    w.f64(ch->lookahead);
-    w.u64(ch->delivered);
-    w.u64(ch->throttled);
-    w.f64(ch->max_lag);
-  }
-
-  for (const Impl::Lp& lp : impl_->lps) {
-    w.tag(kTagLp);
-    w.u64(lp.seq_counter);
-    w.u64(lp.events);
-    w.f64(lp.busy_total);
-    // GlobalWindow: the drain phase already charged receive costs for the
-    // next window into window_busy; they must survive the restore.
-    w.f64(lp.window_busy);
-    w.u64(lp.remote_sent);
-    w.u64(lp.remote_received);
-    w.u64(lp.history);
-    w.f64(lp.max_time);
-    w.u64(lp.advances);
-    w.f64(lp.idle_wait);
-    w.u64(lp.handoff_runs);
-    w.u64(lp.parks);
-    w.u64(lp.series.size());
-    for (double bucket : lp.series) w.f64(bucket);
-
-    // Pending events in ascending (t, origin, seq) order — the canonical
-    // pop order, independent of the queue's current heap/sorted layout.
-    std::vector<Impl::Event> pending = lp.queue.v;
-    std::sort(pending.begin(), pending.end(),
-              [](const Impl::Event& a, const Impl::Event& b) {
-                return Impl::EventLater{}(b, a);
-              });
-    w.u64(pending.size());
-    for (const Impl::Event& e : pending) {
-      w.f64(e.t);
-      w.u32(e.origin);
-      w.u64(e.seq);
-      w.i64(e.node);
-      save_payload(w, e.packet());
+void Kernel::checkpoint(ckpt::Io& io, const PayloadIo& payload,
+                        const std::function<void(void*)>& drop_payload) {
+  MASSF_REQUIRE(payload && drop_payload,
+                "payload walk and drop functions must be callable");
+  if (io.reading()) {
+    MASSF_REQUIRE(!ran_, "a checkpoint must be restored before run_until");
+  } else {
+    MASSF_REQUIRE(in_safepoint_,
+                  "a checkpoint may only be saved from a safepoint hook — "
+                  "the quiescent pause is what makes the kernel state well "
+                  "defined");
+    // Quiescence audit. The safepoint protocol guarantees all of this (see
+    // drain_all_channels and WindowRun's phase order); a violation here
+    // means pending events would be silently dropped from the snapshot.
+    for (const Impl::Lp& lp : impl_->lps) {
+      MASSF_CHECK(lp.dirty_dsts.empty() && lp.pending_sources.empty(),
+                  "safepoint quiescence violated: staged cross-LP routing");
+      for (const Impl::Outbox& box : lp.outbox)
+        MASSF_CHECK(box.events.empty(),
+                    "safepoint quiescence violated: non-empty outbox slot");
     }
+    for (const auto& ch : impl_->channels)
+      MASSF_CHECK(ch->tail->next.load(std::memory_order_acquire) == nullptr,
+                  "safepoint quiescence violated: undrained channel run");
   }
-  w.tag(kTagKernelEnd);
-}
 
-void Kernel::restore_checkpoint(
-    ckpt::Reader& r,
-    const std::function<void*(ckpt::Reader&)>& load_payload,
-    const std::function<void(void*)>& drop_payload) {
-  MASSF_REQUIRE(!ran_, "restore_checkpoint must run before run_until");
-  MASSF_REQUIRE(load_payload && drop_payload,
-                "payload load/drop functions must be callable");
-
-  r.expect_tag(kTagKernel, "kernel section");
-  const auto lp_count = r.u32();
+  io.tag(kTagKernel, "kernel section");
+  auto lp_count = static_cast<std::uint32_t>(lp_count_);
+  io.u32(lp_count);
   MASSF_REQUIRE(lp_count == static_cast<std::uint32_t>(lp_count_),
                 "checkpoint was taken with "
                     << lp_count << " engines but this kernel has " << lp_count_
                     << " — rebuild with the same engine count before "
                        "restoring");
-  const auto mode = r.u8();
+  auto mode = static_cast<std::uint8_t>(sync_mode_);
+  io.u8(mode);
   MASSF_REQUIRE(mode == static_cast<std::uint8_t>(sync_mode_),
                 "checkpoint was taken under sync mode "
                     << to_string(static_cast<SyncMode>(mode))
@@ -916,99 +835,141 @@ void Kernel::restore_checkpoint(
                     << to_string(sync_mode_)
                     << " — modeled-time continuity requires the same "
                        "protocol");
-  const double per_event = r.f64();
-  const double per_remote = r.f64();
-  const double per_window = r.f64();
-  MASSF_REQUIRE(per_event == cost_.per_event &&
-                    per_remote == cost_.per_remote_message &&
-                    per_window == cost_.per_window_sync,
+  CostModel cost = cost_;
+  io.f64(cost.per_event);
+  io.f64(cost.per_remote_message);
+  io.f64(cost.per_window_sync);
+  MASSF_REQUIRE(cost.per_event == cost_.per_event &&
+                    cost.per_remote_message == cost_.per_remote_message &&
+                    cost.per_window_sync == cost_.per_window_sync,
                 "checkpointed cost model differs from this kernel's — "
                 "modeled-time continuity would break");
-  const double la = r.f64();
+  double la = lookahead_;
+  io.f64(la);
   MASSF_REQUIRE(std::isfinite(la) && la > 0 && la <= lookahead_,
                 "checkpointed global lookahead "
                     << la << " is not a valid lowering of the current "
                     << lookahead_);
   lookahead_ = la;
-  stats_.bucket_width = r.f64();
-  sim_position_ = r.f64();
-  resume_time_ = r.f64();
-  stats_.windows = r.u64();
-  stats_.safepoints = r.u64();
-  stats_.idle_jumps = r.u64();
-  stats_.events_rehomed = r.u64();
-  stats_.modeled_time = r.f64();
-  stats_.coupled_time = r.f64();
+  io.f64(stats_.bucket_width);
+  io.f64(sim_position_);
+  SimTime resume = now();  // the safepoint time — the restored run resumes here
+  io.f64(resume);
 
-  // Discard the setup population: the caller rebuilt the emulator from
-  // scratch, so every event scheduled so far (endpoint starts, epoch
-  // boundaries) is superseded by the checkpointed queues.
-  for (Impl::Lp& lp : impl_->lps) {
-    for (const Impl::Event& e : lp.queue.v)
-      if (e.payload != nullptr) drop_payload(e.payload);
-    lp.queue.v.clear();
-    lp.queue.sorted = false;
+  // Live aggregate counters. GlobalWindow charges the safepoint rendezvous
+  // *after* the hook returns (WindowRun::decide), and the restored run
+  // skips this safepoint entirely, so the charge is folded into the
+  // snapshot here. Channel mode recomputes both times in
+  // ChannelRun::finish from counters that are all saved below.
+  const double sync_charge =
+      !io.reading() && sync_mode_ == SyncMode::GlobalWindow
+          ? cost_.per_window_sync
+          : 0.0;
+  double modeled = stats_.modeled_time + sync_charge;
+  double coupled = stats_.coupled_time + sync_charge;
+  io.u64(stats_.windows);
+  io.u64(stats_.safepoints);  // already counts the in-progress safepoint
+  io.u64(stats_.idle_jumps);
+  io.u64(stats_.events_rehomed);
+  io.f64(modeled);
+  io.f64(coupled);
+
+  io.tag(kTagChannels, "channel section");
+  if (io.reading()) {
+    resume_time_ = resume;
+    stats_.modeled_time = modeled;
+    stats_.coupled_time = coupled;
+    // Discard the setup population: the caller rebuilt the emulator from
+    // scratch, so every event scheduled so far (endpoint starts, epoch
+    // boundaries) is superseded by the checkpointed queues. The channel
+    // graph is rebuilt from the snapshot, registration order included.
+    for (Impl::Lp& lp : impl_->lps) {
+      for (const Impl::Event& e : lp.queue.v)
+        if (e.payload != nullptr) drop_payload(e.payload);
+      lp.queue.v.clear();
+      lp.queue.sorted = false;
+    }
+    impl_->clear_channels();
   }
-
-  r.expect_tag(kTagChannels, "channel section");
-  impl_->clear_channels();
   // Counts are bounded by the bytes left before anything is sized from them
   // (a channel record is 40 bytes, a bucket 8, an event at least 28).
-  const std::uint64_t channel_count = r.bounded_count(40, "channel count");
+  const std::uint64_t channel_count =
+      io.bounded_count(impl_->channels.size(), 40, "channel count");
   for (std::uint64_t c = 0; c < channel_count; ++c) {
-    const auto src = r.u32();
-    const auto dst = r.u32();
-    const double ch_la = r.f64();
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    double ch_la = 0;
+    if (!io.reading()) {
+      const Impl::Channel& saved = *impl_->channels[c];
+      src = saved.src;
+      dst = saved.dst;
+      ch_la = saved.lookahead;
+    }
+    io.u32(src);
+    io.u32(dst);
+    io.f64(ch_la);
     MASSF_REQUIRE(src < lp_count && dst < lp_count && src != dst,
                   "checkpointed channel endpoints out of range");
-    Impl::Channel& ch = impl_->ensure_channel(
-        static_cast<int>(src), static_cast<int>(dst), ch_la);
-    ch.delivered = r.u64();
-    ch.throttled = r.u64();
-    ch.max_lag = r.f64();
+    Impl::Channel& ch =
+        io.reading() ? impl_->ensure_channel(static_cast<int>(src),
+                                             static_cast<int>(dst), ch_la)
+                     : *impl_->channels[c];
+    io.u64(ch.delivered);
+    io.u64(ch.throttled);
+    io.f64(ch.max_lag);
   }
 
   for (Impl::Lp& lp : impl_->lps) {
-    r.expect_tag(kTagLp, "per-engine section");
-    lp.seq_counter = r.u64();
-    lp.events = r.u64();
-    lp.busy_total = r.f64();
-    lp.window_busy = r.f64();
-    lp.remote_sent = r.u64();
-    lp.remote_received = r.u64();
-    lp.history = r.u64();
-    lp.max_time = r.f64();
-    lp.advances = r.u64();
-    lp.idle_wait = r.f64();
-    lp.handoff_runs = r.u64();
-    lp.parks = r.u64();
-    lp.series.assign(r.bounded_count(8, "load-series length"), 0.0);
-    for (double& bucket : lp.series) bucket = r.f64();
+    io.tag(kTagLp, "per-engine section");
+    io.u64(lp.seq_counter);
+    io.u64(lp.events);
+    io.f64(lp.busy_total);
+    // GlobalWindow: the drain phase already charged receive costs for the
+    // next window into window_busy; they must survive the restore.
+    io.f64(lp.window_busy);
+    io.u64(lp.remote_sent);
+    io.u64(lp.remote_received);
+    io.u64(lp.history);
+    io.f64(lp.max_time);
+    io.u64(lp.advances);
+    io.f64(lp.idle_wait);
+    io.u64(lp.handoff_runs);
+    io.u64(lp.parks);
+    io.f64s(lp.series, "load-series length");
 
-    const std::uint64_t pending = r.bounded_count(28, "pending-event count");
-    lp.queue.v.reserve(pending);
-    for (std::uint64_t n = 0; n < pending; ++n) {
-      Impl::Event e;
-      e.t = r.f64();
-      e.origin = r.u32();
-      MASSF_REQUIRE(std::isfinite(e.t) && e.t >= resume_time_ &&
+    // Pending events in ascending (t, origin, seq) order — the canonical
+    // pop order, independent of the queue's current heap/sorted layout.
+    std::vector<Impl::Event> pending;
+    if (!io.reading()) {
+      pending = lp.queue.v;
+      std::sort(pending.begin(), pending.end(),
+                [](const Impl::Event& a, const Impl::Event& b) {
+                  return Impl::EventLater{}(b, a);
+                });
+    }
+    pending.resize(io.bounded_count(pending.size(), 28, "pending-event count"));
+    for (Impl::Event& e : pending) {
+      io.f64(e.t);
+      io.u32(e.origin);
+      MASSF_REQUIRE(std::isfinite(e.t) && e.t >= resume &&
                         e.origin < lp_count,
                     "checkpointed event (t=" << e.t << ", origin LP "
                         << e.origin << ") must have a finite time at or after "
                            "the resume time "
-                        << resume_time_ << " and an origin below "
-                        << lp_count);
-      e.seq = r.u64();
-      e.node = static_cast<std::int32_t>(r.i64());
-      e.payload = load_payload(r);
-      lp.queue.v.push_back(e);
+                        << resume << " and an origin below " << lp_count);
+      io.u64(e.seq);
+      io.i64(e.node);
+      payload(io, e.payload);
     }
-    // Saved ascending; the sorted representation pops descending arrays
-    // from the back, so a reverse hands the queue back in O(1)-pop form.
-    std::reverse(lp.queue.v.begin(), lp.queue.v.end());
-    lp.queue.sorted = !lp.queue.v.empty();
+    if (io.reading()) {
+      // Saved ascending; the sorted representation pops descending arrays
+      // from the back, so a reverse hands the queue back in O(1)-pop form.
+      lp.queue.v.reserve(pending.size());
+      lp.queue.v.assign(pending.rbegin(), pending.rend());
+      lp.queue.sorted = !lp.queue.v.empty();
+    }
   }
-  r.expect_tag(kTagKernelEnd, "kernel trailer");
+  io.tag(kTagKernelEnd, "kernel trailer");
 }
 
 namespace {

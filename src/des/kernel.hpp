@@ -61,8 +61,7 @@
 #include "util/error.hpp"
 
 namespace massf::ckpt {
-class Writer;
-class Reader;
+class Io;
 }  // namespace massf::ckpt
 
 namespace massf::des {
@@ -389,34 +388,29 @@ class Kernel {
   // the live aggregate counters — such that a freshly built kernel restored
   // from it and run to the same end_time produces a bit-identical
   // history_hash to the uninterrupted run. The safepoint quiescence
-  // protocol guarantees (and save_checkpoint verifies) that outboxes,
+  // protocol guarantees (and a saving walk verifies) that outboxes,
   // dirty-sender lists and channel mailboxes are all empty, so LP queues
   // are provably the whole pending-event set. See DESIGN.md §12.
 
-  /// Serialize the kernel run state into `w`. Hook-only (the quiescent
-  /// single-threaded pause is what makes the state well defined).
-  /// `save_payload` serializes one PacketEvent payload (the emulator writes
-  /// the pool-owned Packet record).
-  void save_checkpoint(
-      ckpt::Writer& w,
-      const std::function<void(ckpt::Writer&, const PacketEvent&)>&
-          save_payload) const;
+  /// Walks one pending event's payload: writes it, or (reading) replaces
+  /// the pointer with a reconstructed payload.
+  using PayloadIo = std::function<void(ckpt::Io&, void*& payload)>;
 
-  /// Restore state saved by save_checkpoint into this kernel. Must be
-  /// called before run_until, on a kernel built with the same lp_count,
-  /// sync mode and cost model; every event already scheduled (setup
-  /// population) is discarded first — `drop_payload` disposes their packet
-  /// payloads — and `load_payload` reconstructs each checkpointed payload.
-  /// Safepoints registered at or before the checkpoint time are skipped by
-  /// the subsequent run_until (they already fired in the original run).
-  /// A snapshot whose counts exceed its remaining bytes is rejected with
-  /// ckpt::CkptError before anything is allocated; pending events with a
-  /// non-finite time, a time before the resume time, or an out-of-range
-  /// origin LP are rejected like any other shape mismatch.
-  void restore_checkpoint(
-      ckpt::Reader& r,
-      const std::function<void*(ckpt::Reader&)>& load_payload,
-      const std::function<void(void*)>& drop_payload);
+  /// Walk the kernel run state through `io`. Saving is hook-only (the
+  /// quiescent single-threaded pause is what makes the state well
+  /// defined). Restoring must happen before run_until, on a kernel built
+  /// with the same lp_count, sync mode and cost model: every event already
+  /// scheduled (setup population) is discarded first — `drop_payload`
+  /// disposes their payloads — and `payload` reconstructs each
+  /// checkpointed one. Safepoints registered at or before the checkpoint
+  /// time are skipped by the subsequent run_until (they already fired in
+  /// the original run). A snapshot whose counts exceed its remaining bytes
+  /// is rejected with ckpt::CkptError before anything is allocated;
+  /// pending events with a non-finite time, a time before the resume time,
+  /// or an out-of-range origin LP are rejected like any other shape
+  /// mismatch.
+  void checkpoint(ckpt::Io& io, const PayloadIo& payload,
+                  const std::function<void(void*)>& drop_payload);
 
   /// Simulation time of the checkpoint this kernel was restored from
   /// (0 when the kernel started fresh).

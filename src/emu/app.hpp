@@ -15,6 +15,10 @@
 
 #include "emu/packet.hpp"
 
+namespace massf::ckpt {
+class Io;
+}  // namespace massf::ckpt
+
 namespace massf::emu {
 
 class Emulator;
@@ -99,15 +103,14 @@ class AppEndpoint {
     (void)message;
   }
 
-  /// Checkpoint support: serialize this endpoint's mutable state as opaque
-  /// 64-bit words (doubles bit-cast, counters widened). load_state receives
-  /// exactly the words save_state produced. Endpoints with no mutable state
-  /// may keep the defaults; stateful endpoints must override both or their
+  /// Checkpoint walk over this endpoint's mutable state: one list of
+  /// fields that `io` writes or reads back (ckpt::Io). The emulator frames
+  /// it as a block of 8-byte words, so the walk uses only u64/i64/f64
+  /// fields and counts, and a restore that reads a different number of
+  /// words than was saved is rejected. Endpoints with no mutable state may
+  /// keep the default; stateful endpoints must override it or their
   /// restored runs diverge.
-  virtual void save_state(std::vector<std::uint64_t>& out) const {
-    (void)out;
-  }
-  virtual void load_state(const std::vector<std::uint64_t>& in) { (void)in; }
+  virtual void checkpoint(ckpt::Io& io) { (void)io; }
 };
 
 }  // namespace massf::emu

@@ -837,15 +837,8 @@ void Emulator::set_checkpoint_schedule(const CheckpointConfig& cfg,
 void Emulator::write_checkpoint(SimTime t) {
   ckpt::maybe_crash("before-checkpoint");
   ckpt::Writer w;
-  w.tag(kTagSnapshot);
-  w.f64(t);
-  checkpoint(w);
-  if (ckpt_cfg_.save_extra) {
-    w.u8(1);
-    ckpt_cfg_.save_extra(w);
-  } else {
-    w.u8(0);
-  }
+  ckpt::Io io(w);
+  checkpoint(io, ckpt_cfg_.extra);
   const std::uint64_t seq = ckpt_seq_++;
   const std::string path =
       ckpt_cfg_.dir + "/" + ckpt::checkpoint_filename(seq);
@@ -864,269 +857,182 @@ void Emulator::write_checkpoint(SimTime t) {
   ckpt::maybe_crash("after-checkpoint");
 }
 
-void Emulator::save_packet(ckpt::Writer& w, const Packet* packet) const {
-  if (packet == nullptr) {
-    w.u8(0);
-    return;
-  }
-  w.u8(1);
-  w.i64(packet->src);
-  w.i64(packet->dst);
-  w.f64(packet->bytes);
-  w.i64(packet->packets);
-  w.i64(packet->ttl);
-  w.u8(static_cast<std::uint8_t>(packet->kind));
-  w.u8(packet->has_message ? 1 : 0);
-  w.u64(packet->flow);
-  w.u64(packet->probe_id);
-  w.i64(packet->reporter);
-  w.i64(packet->via);
-  if (packet->has_message) {
-    const AppMessage& m = packet->message;
-    w.i64(m.src);
-    w.i64(m.dst);
-    w.f64(m.bytes);
-    w.i64(m.tag);
-    w.u64(m.id);
-    w.f64(m.sent_at);
-    w.f64(m.delivered_at);
-    w.u8(m.reliable ? 1 : 0);
-    w.u64(m.corr);
-  }
-}
-
-Packet* Emulator::load_packet(ckpt::Reader& r) {
-  if (r.u8() == 0) return nullptr;
-  Packet* p = pool_.acquire(/*shard=*/0);  // restore is single-threaded setup
-  p->src = static_cast<NodeId>(r.i64());
-  p->dst = static_cast<NodeId>(r.i64());
-  p->bytes = r.f64();
-  p->packets = static_cast<int>(r.i64());
-  p->ttl = static_cast<int>(r.i64());
-  const std::uint8_t kind = r.u8();
+void Emulator::checkpoint_packet(ckpt::Io& io, Packet*& packet) {
+  bool present = packet != nullptr;
+  io.flag(present);
+  if (!present) return;
+  if (io.reading())
+    packet = pool_.acquire(/*shard=*/0);  // restore is single-threaded setup
+  io.i64(packet->src);
+  io.i64(packet->dst);
+  io.f64(packet->bytes);
+  io.i64(packet->packets);
+  io.i64(packet->ttl);
+  auto kind = static_cast<std::uint8_t>(packet->kind);
+  io.u8(kind);
   MASSF_REQUIRE(kind <= static_cast<std::uint8_t>(PacketKind::CtrlEpoch),
                 "snapshot carries an unknown packet kind ("
                     << static_cast<int>(kind)
                     << ") — it was written by an incompatible build");
-  p->kind = static_cast<PacketKind>(kind);
-  p->has_message = r.u8() != 0;
-  p->flow = r.u64();
-  p->probe_id = r.u64();
-  p->reporter = static_cast<NodeId>(r.i64());
-  p->via = static_cast<LinkId>(r.i64());
-  if (p->has_message) {
-    AppMessage& m = p->message;
-    m.src = static_cast<NodeId>(r.i64());
-    m.dst = static_cast<NodeId>(r.i64());
-    m.bytes = r.f64();
-    m.tag = static_cast<int>(r.i64());
-    m.id = r.u64();
-    m.sent_at = r.f64();
-    m.delivered_at = r.f64();
-    m.reliable = r.u8() != 0;
-    m.corr = r.u64();
+  packet->kind = static_cast<PacketKind>(kind);
+  io.flag(packet->has_message);
+  io.u64(packet->flow);
+  io.u64(packet->probe_id);
+  io.i64(packet->reporter);
+  io.i64(packet->via);
+  if (packet->has_message) {
+    AppMessage& m = packet->message;
+    io.i64(m.src);
+    io.i64(m.dst);
+    io.f64(m.bytes);
+    io.i64(m.tag);
+    io.u64(m.id);
+    io.f64(m.sent_at);
+    io.f64(m.delivered_at);
+    io.flag(m.reliable);
+    io.u64(m.corr);
   }
-  return p;
 }
 
-void Emulator::checkpoint(ckpt::Writer& w) const {
-  MASSF_REQUIRE(kernel_->in_safepoint(),
-                "checkpoint() may only run inside a safepoint hook");
-  w.tag(kTagEmu);
-  w.u64(static_cast<std::uint64_t>(network_.node_count()));
-  w.u64(static_cast<std::uint64_t>(engines_));
-  w.f64(lookahead_);
-  for (int e : node_engine_) w.i64(e);
-  for (const HostState& s : host_state_) {
-    w.u64(s.message_counter);
-    w.u64(s.trains_injected);
-    w.u64(s.trains_delivered);
-    w.u64(s.trains_dropped_fault);
-    w.u64(s.trains_dropped_unreachable);
-    w.u64(s.trains_expired);
-    w.u64(s.icmp_unreachable_sent);
-    w.u64(s.messages_sent);
-    w.u64(s.messages_delivered);
-    w.u64(s.reliable_sent);
-    w.u64(s.reliable_delivered);
-    w.u64(s.reliable_acked);
-    w.u64(s.reliable_failed);
-    w.u64(s.retransmissions);
-    w.u64(s.duplicate_deliveries);
-    w.f64(s.bytes_delivered);
-    w.u8(s.endpoint != nullptr ? 1 : 0);
-    if (s.endpoint != nullptr) {
-      std::vector<std::uint64_t> words;
-      s.endpoint->save_state(words);
-      w.u64(words.size());
-      for (std::uint64_t word : words) w.u64(word);
-    }
-    // Hash-ordered containers are serialized sorted by key so the byte
-    // stream is identical across processes (DESIGN.md §9 determinism rule).
-    std::vector<std::pair<std::uint64_t, PendingReliable>> pending(
-        s.pending.begin(), s.pending.end());
-    std::sort(pending.begin(), pending.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.u64(pending.size());
-    for (const auto& [id, rec] : pending) {
-      w.u64(id);
-      w.i64(rec.dst);
-      w.f64(rec.bytes);
-      w.i64(rec.tag);
-      w.f64(rec.first_sent);
-      w.i64(rec.attempts);
-      w.u64(rec.corr);
-    }
-    std::vector<std::uint64_t> seen(s.reliable_seen.begin(),
-                                    s.reliable_seen.end());
-    std::sort(seen.begin(), seen.end());
-    w.u64(seen.size());
-    for (std::uint64_t id : seen) w.u64(id);
-  }
-  for (double v : link_next_free_) w.f64(v);
-  for (std::uint64_t v : link_drops_) w.u64(v);
-  w.u64(epoch_cursor_.size());
-  for (const EpochCursor& c : epoch_cursor_)
-    w.u64(static_cast<std::uint64_t>(c.epoch));
-  w.u64(epoch_slots_.size());
-  for (const EpochCounters& slot : epoch_slots_) {
-    w.u64(slot.dropped_fault);
-    w.u64(slot.dropped_unreachable);
-    w.u64(slot.icmp_unreachable);
-    w.u64(slot.retransmissions);
-    w.u64(slot.recovered);
-    w.f64(slot.max_recovery_s);
-  }
-  w.u64(latency_slots_.size());
-  for (const LatencyHistogram& h : latency_slots_)
-    for (std::uint64_t c : h.raw()) w.u64(c);
-  w.u64(rebalance_stats_.rebalances);
-  w.u64(rebalance_stats_.nodes_migrated);
-  w.f64(rebalance_stats_.migration_bytes);
-  w.u64(rebalance_stats_.events_rehomed);
-  w.u64(rebalance_stats_.epoch);
-  w.u8(netflow_ != nullptr ? 1 : 0);
-  if (netflow_ != nullptr) netflow_->save(w);
-  kernel_->save_checkpoint(
-      w, [this](ckpt::Writer& ww, const des::PacketEvent& e) {
-        save_packet(ww, static_cast<const Packet*>(e.payload));
-      });
-  w.tag(kTagEmuEnd);
-}
-
-SimTime Emulator::restore(
-    ckpt::Reader& r, const std::function<void(ckpt::Reader&)>& load_extra) {
-  MASSF_REQUIRE(!ran_, "restore() must run before run()");
-  r.expect_tag(kTagSnapshot, "snapshot header");
-  const SimTime t = r.f64();
-  r.expect_tag(kTagEmu, "emulator section");
+SimTime Emulator::checkpoint(ckpt::Io& io,
+                             const std::function<void(ckpt::Io&)>& extra) {
+  if (io.reading())
+    MASSF_REQUIRE(!ran_, "a snapshot must be restored before run()");
+  else
+    MASSF_REQUIRE(kernel_->in_safepoint(),
+                  "a snapshot may only be taken inside a safepoint hook");
+  io.tag(kTagSnapshot, "snapshot header");
+  SimTime t = kernel_->now();
+  io.f64(t);
+  io.tag(kTagEmu, "emulator section");
+  auto nodes = static_cast<std::uint64_t>(network_.node_count());
+  io.u64(nodes);
   MASSF_REQUIRE(
-      r.u64() == static_cast<std::uint64_t>(network_.node_count()),
+      nodes == static_cast<std::uint64_t>(network_.node_count()),
       "snapshot node count does not match this network — rebuild the "
       "emulator against the checkpointed topology before restoring");
-  MASSF_REQUIRE(r.u64() == static_cast<std::uint64_t>(engines_),
+  auto engines = static_cast<std::uint64_t>(engines_);
+  io.u64(engines);
+  MASSF_REQUIRE(engines == static_cast<std::uint64_t>(engines_),
                 "snapshot engine count does not match — rebuild the emulator "
                 "with the same engine count before restoring");
-  lookahead_ = r.f64();
+  io.f64(lookahead_);
   for (int& e : node_engine_) {
-    const std::int64_t v = r.i64();
-    MASSF_REQUIRE(v >= 0 && v < engines_,
+    std::int64_t engine = e;
+    io.i64(engine);
+    MASSF_REQUIRE(engine >= 0 && engine < engines_,
                   "snapshot node→engine assignment is corrupt");
-    e = static_cast<int>(v);
+    e = static_cast<int>(engine);
   }
   for (HostState& s : host_state_) {
-    s.message_counter = r.u64();
-    s.trains_injected = r.u64();
-    s.trains_delivered = r.u64();
-    s.trains_dropped_fault = r.u64();
-    s.trains_dropped_unreachable = r.u64();
-    s.trains_expired = r.u64();
-    s.icmp_unreachable_sent = r.u64();
-    s.messages_sent = r.u64();
-    s.messages_delivered = r.u64();
-    s.reliable_sent = r.u64();
-    s.reliable_delivered = r.u64();
-    s.reliable_acked = r.u64();
-    s.reliable_failed = r.u64();
-    s.retransmissions = r.u64();
-    s.duplicate_deliveries = r.u64();
-    s.bytes_delivered = r.f64();
-    const bool had_endpoint = r.u8() != 0;
-    MASSF_REQUIRE(had_endpoint == (s.endpoint != nullptr),
+    io.u64(s.message_counter);
+    io.u64(s.trains_injected);
+    io.u64(s.trains_delivered);
+    io.u64(s.trains_dropped_fault);
+    io.u64(s.trains_dropped_unreachable);
+    io.u64(s.trains_expired);
+    io.u64(s.icmp_unreachable_sent);
+    io.u64(s.messages_sent);
+    io.u64(s.messages_delivered);
+    io.u64(s.reliable_sent);
+    io.u64(s.reliable_delivered);
+    io.u64(s.reliable_acked);
+    io.u64(s.reliable_failed);
+    io.u64(s.retransmissions);
+    io.u64(s.duplicate_deliveries);
+    io.f64(s.bytes_delivered);
+    bool has_endpoint = s.endpoint != nullptr;
+    io.flag(has_endpoint);
+    MASSF_REQUIRE(has_endpoint == (s.endpoint != nullptr),
                   "snapshot endpoint installation does not match — install "
                   "the same workload on the rebuilt emulator before "
                   "restoring");
-    if (had_endpoint) {
-      std::vector<std::uint64_t> words(r.u64());
-      for (std::uint64_t& word : words) word = r.u64();
-      s.endpoint->load_state(words);
+    if (has_endpoint)
+      io.block("endpoint state", [&] { s.endpoint->checkpoint(io); });
+    // Hash-ordered containers are walked sorted by key so the byte stream
+    // is identical across processes (DESIGN.md §9 determinism rule).
+    io.sorted_map(s.pending, 56, "pending reliable messages",
+                  [&io](PendingReliable& rec) {
+                    io.i64(rec.dst);
+                    io.f64(rec.bytes);
+                    io.i64(rec.tag);
+                    io.f64(rec.first_sent);
+                    io.i64(rec.attempts);
+                    io.u64(rec.corr);
+                  });
+    std::vector<std::uint64_t> seen;
+    if (!io.reading()) {
+      seen.assign(s.reliable_seen.begin(), s.reliable_seen.end());
+      std::sort(seen.begin(), seen.end());
     }
-    s.pending.clear();
-    const std::uint64_t pending_count = r.u64();
-    for (std::uint64_t i = 0; i < pending_count; ++i) {
-      const std::uint64_t id = r.u64();
-      PendingReliable rec;
-      rec.dst = static_cast<NodeId>(r.i64());
-      rec.bytes = r.f64();
-      rec.tag = static_cast<int>(r.i64());
-      rec.first_sent = r.f64();
-      rec.attempts = static_cast<int>(r.i64());
-      rec.corr = r.u64();
-      s.pending.emplace(id, rec);
+    seen.resize(io.bounded_count(seen.size(), 8, "delivered reliable ids"));
+    for (std::uint64_t& id : seen) io.u64(id);
+    if (io.reading()) {
+      s.reliable_seen.clear();
+      s.reliable_seen.insert(seen.begin(), seen.end());
     }
-    s.reliable_seen.clear();
-    const std::uint64_t seen_count = r.u64();
-    for (std::uint64_t i = 0; i < seen_count; ++i)
-      s.reliable_seen.insert(r.u64());
   }
-  for (double& v : link_next_free_) v = r.f64();
-  for (std::uint64_t& v : link_drops_) v = r.u64();
-  MASSF_REQUIRE(r.u64() == epoch_cursor_.size(),
+  for (double& v : link_next_free_) io.f64(v);
+  for (std::uint64_t& v : link_drops_) io.u64(v);
+  std::uint64_t cursors = epoch_cursor_.size();
+  io.u64(cursors);
+  MASSF_REQUIRE(cursors == epoch_cursor_.size(),
                 "snapshot epoch cursors do not match this engine count");
-  for (EpochCursor& c : epoch_cursor_)
-    c.epoch = static_cast<std::size_t>(r.u64());
+  for (EpochCursor& c : epoch_cursor_) io.u64(c.epoch);
+  std::uint64_t slots = epoch_slots_.size();
+  io.u64(slots);
   MASSF_REQUIRE(
-      r.u64() == epoch_slots_.size(),
+      slots == epoch_slots_.size(),
       "snapshot fault-epoch table does not match — attach the same fault "
       "timeline before restoring");
   for (EpochCounters& slot : epoch_slots_) {
-    slot.dropped_fault = r.u64();
-    slot.dropped_unreachable = r.u64();
-    slot.icmp_unreachable = r.u64();
-    slot.retransmissions = r.u64();
-    slot.recovered = r.u64();
-    slot.max_recovery_s = r.f64();
+    io.u64(slot.dropped_fault);
+    io.u64(slot.dropped_unreachable);
+    io.u64(slot.icmp_unreachable);
+    io.u64(slot.retransmissions);
+    io.u64(slot.recovered);
+    io.f64(slot.max_recovery_s);
   }
+  std::uint64_t histograms = latency_slots_.size();
+  io.u64(histograms);
   MASSF_REQUIRE(
-      r.u64() == latency_slots_.size(),
+      histograms == latency_slots_.size(),
       "snapshot latency-histogram table does not match — register the same "
       "latency series (and fault timeline) before restoring");
   for (LatencyHistogram& h : latency_slots_) {
-    std::array<std::uint64_t, LatencyHistogram::kBuckets> counts{};
-    for (std::uint64_t& c : counts) c = r.u64();
-    h.set_raw(counts);
+    std::array<std::uint64_t, LatencyHistogram::kBuckets> counts = h.raw();
+    for (std::uint64_t& c : counts) io.u64(c);
+    if (io.reading()) h.set_raw(counts);
   }
-  rebalance_stats_.rebalances = r.u64();
-  rebalance_stats_.nodes_migrated = r.u64();
-  rebalance_stats_.migration_bytes = r.f64();
-  rebalance_stats_.events_rehomed = r.u64();
-  rebalance_stats_.epoch = r.u64();
-  const bool had_netflow = r.u8() != 0;
-  MASSF_REQUIRE(had_netflow == (netflow_ != nullptr),
+  io.u64(rebalance_stats_.rebalances);
+  io.u64(rebalance_stats_.nodes_migrated);
+  io.f64(rebalance_stats_.migration_bytes);
+  io.u64(rebalance_stats_.events_rehomed);
+  io.u64(rebalance_stats_.epoch);
+  bool has_netflow = netflow_ != nullptr;
+  io.flag(has_netflow);
+  MASSF_REQUIRE(has_netflow == (netflow_ != nullptr),
                 "snapshot NetFlow collection does not match the config — "
                 "rebuild the emulator with collect_netflow set identically");
-  if (had_netflow) netflow_->load(r);
-  kernel_->restore_checkpoint(
-      r, [this](ckpt::Reader& rr) -> void* { return load_packet(rr); },
+  if (has_netflow) netflow_->checkpoint(io);
+  kernel_->checkpoint(
+      io,
+      [this](ckpt::Io& pio, void*& payload) {
+        auto* packet = static_cast<Packet*>(payload);
+        checkpoint_packet(pio, packet);
+        payload = packet;
+      },
       [this](void* payload) {
         pool_.release(/*shard=*/0, static_cast<Packet*>(payload));
       });
-  r.expect_tag(kTagEmuEnd, "emulator trailer");
-  if (r.u8() != 0) {
-    MASSF_REQUIRE(static_cast<bool>(load_extra),
-                  "snapshot carries a save_extra section but no load_extra "
-                  "was supplied to restore()");
-    load_extra(r);
+  io.tag(kTagEmuEnd, "emulator trailer");
+  bool has_extra = static_cast<bool>(extra);
+  io.flag(has_extra);
+  if (has_extra) {
+    MASSF_REQUIRE(static_cast<bool>(extra),
+                  "snapshot carries an extra section but no extra walk was "
+                  "supplied to restore it");
+    extra(io);
   }
   return t;
 }

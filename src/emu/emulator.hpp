@@ -152,10 +152,10 @@ struct CheckpointConfig {
   /// Sequence number of the first snapshot this run writes (a restored run
   /// continues the numbering of the run it resumed).
   std::uint64_t first_seq = 0;
-  /// Appended to every snapshot after the emulator state — the supervisor
-  /// uses it for rebalance controller state. Must be paired with the
-  /// matching load_extra at restore.
-  std::function<void(ckpt::Writer&)> save_extra;
+  /// Walks extra state appended to every snapshot after the emulator state
+  /// — the supervisor uses it for rebalance controller state. The restore
+  /// must pass the same walk to Emulator::checkpoint.
+  std::function<void(ckpt::Io&)> extra;
   /// Observability: invoked after each snapshot is durably committed.
   std::function<void(std::uint64_t seq, const std::string& path)>
       on_checkpoint;
@@ -324,7 +324,7 @@ class Emulator : private des::EventSink {
   //
   // A snapshot captures the complete run state — kernel event queues
   // (pending trains and control events), per-host application and
-  // reliable-delivery state, endpoint state words, fault-epoch cursors and
+  // reliable-delivery state, endpoint state, fault-epoch cursors and
   // counters, the current node→engine assignment, NetFlow records, and
   // rebalance counters — such that a freshly constructed Emulator (same
   // network, workload installation, fault timeline, and *initial* mapping)
@@ -343,20 +343,17 @@ class Emulator : private des::EventSink {
   /// Snapshots committed by this run so far.
   std::uint64_t checkpoints_written() const { return ckpt_written_; }
 
-  /// Serialize the full run state into `w`. Safepoint-hook-only (the
-  /// schedule above calls it automatically; exposed for tests and custom
-  /// supervisors).
-  void checkpoint(ckpt::Writer& w) const;
-
-  /// Restore a snapshot produced by checkpoint() into this emulator. Must
-  /// run before run(), on an emulator rebuilt exactly like the original
-  /// (same network/routes/initial mapping/config, same endpoints installed,
-  /// same fault timeline and trace setup); setup-time events are discarded
-  /// in favour of the snapshot's queues. `load_extra` consumes the
-  /// save_extra section if the snapshot carries one. Returns the snapshot's
-  /// simulation time; the subsequent run() resumes from there.
-  SimTime restore(ckpt::Reader& r,
-                  const std::function<void(ckpt::Reader&)>& load_extra = {});
+  /// Walk the full snapshot through `io` and return its simulation time.
+  /// Saving is safepoint-hook-only (the schedule above calls it; exposed
+  /// for tests and custom supervisors). Restoring must run before run(), on
+  /// an emulator rebuilt exactly like the original (same network/routes/
+  /// initial mapping/config, same endpoints installed, same fault timeline
+  /// and trace setup); setup-time events are discarded in favour of the
+  /// snapshot's queues, and the subsequent run() resumes from the returned
+  /// time. `extra` walks an extra section after the emulator state; a
+  /// snapshot carrying one can only be restored with an `extra` walk.
+  SimTime checkpoint(ckpt::Io& io,
+                     const std::function<void(ckpt::Io&)>& extra = {});
 
   /// Hook invoked first at every safepoint, before the rebalance hook and
   /// any checkpoint write (the supervisor's watchdog heartbeat). Set before
@@ -467,10 +464,9 @@ class Emulator : private des::EventSink {
   /// Acquire a pool packet shaped as a control event.
   Packet* make_control(PacketKind kind, NodeId host, std::uint64_t id);
 
-  /// Serialize / reconstruct one pool-owned Packet payload (the kernel's
-  /// save_payload / load_payload callbacks).
-  void save_packet(ckpt::Writer& w, const Packet* packet) const;
-  Packet* load_packet(ckpt::Reader& r);
+  /// Walk one pool-owned Packet payload (the kernel's payload walk);
+  /// reading acquires the packet from the pool.
+  void checkpoint_packet(ckpt::Io& io, Packet*& packet);
 
   /// Write one snapshot (safepoint hook context) and prune old ones.
   void write_checkpoint(SimTime t);

@@ -164,76 +164,60 @@ namespace {
 constexpr std::uint32_t kTagNetflow = 0x6e666c77;  // "nflw"
 }  // namespace
 
-void NetFlowCollector::save(ckpt::Writer& w) const {
-  w.tag(kTagNetflow);
-  w.f64(bucket_width_);
-  w.u64(node_tables_.size());
-  for (const auto& t : node_tables_) w.f64(t ? t->packets : 0.0);
-  w.u64(link_packets_by_dir_.size());
-  for (double p : link_packets_by_dir_) w.f64(p);
-  for (const auto& t : node_tables_) {
-    w.u64(t ? t->buckets.size() : 0);
-    if (t)
-      for (double b : t->buckets) w.f64(b);
-  }
-  for (const auto& t : node_tables_) {
-    if (!t) {
-      w.u64(0);
-      continue;
-    }
-    const std::vector<FlowRecord> records = t->sorted_records();
-    w.u64(records.size());
-    for (const FlowRecord& record : records) {
-      w.u64(record.flow);
-      w.f64(record.packets);
-      w.f64(record.bytes);
-      w.f64(record.first_seen);
-      w.f64(record.last_seen);
-    }
-  }
-}
-
-void NetFlowCollector::load(ckpt::Reader& r) {
-  r.expect_tag(kTagNetflow, "NetFlow section");
-  bucket_width_ = r.f64();
-  MASSF_REQUIRE(r.u64() == node_tables_.size() && bucket_width_ > 0,
+void NetFlowCollector::checkpoint(ckpt::Io& io) {
+  io.tag(kTagNetflow, "NetFlow section");
+  io.f64(bucket_width_);
+  std::uint64_t nodes = node_tables_.size();
+  io.u64(nodes);
+  MASSF_REQUIRE(nodes == node_tables_.size() && bucket_width_ > 0,
                 "checkpointed NetFlow dimensions do not match this network — "
                 "rebuild the emulator against the checkpointed topology");
-  for (auto& t : node_tables_) t.reset();
+  if (io.reading())
+    for (auto& t : node_tables_) t.reset();
   for (std::size_t v = 0; v < node_tables_.size(); ++v) {
-    const double packets = r.f64();
-    if (packets != 0.0) table(static_cast<NodeId>(v)).packets = packets;
+    double packets = node_tables_[v] ? node_tables_[v]->packets : 0.0;
+    io.f64(packets);
+    if (io.reading() && packets != 0.0)
+      table(static_cast<NodeId>(v)).packets = packets;
   }
-  MASSF_REQUIRE(r.u64() == link_packets_by_dir_.size(),
+  std::uint64_t link_slots = link_packets_by_dir_.size();
+  io.u64(link_slots);
+  MASSF_REQUIRE(link_slots == link_packets_by_dir_.size(),
                 "checkpointed NetFlow link table does not match this network");
-  for (double& p : link_packets_by_dir_) p = r.f64();
+  for (double& p : link_packets_by_dir_) io.f64(p);
   for (std::size_t v = 0; v < node_tables_.size(); ++v) {
-    const std::uint64_t n = r.bounded_count(sizeof(double), "NetFlow buckets");
+    const std::uint64_t n = io.bounded_count(
+        node_tables_[v] ? node_tables_[v]->buckets.size() : 0, sizeof(double),
+        "NetFlow buckets");
     if (n == 0) continue;
-    auto& buckets = table(static_cast<NodeId>(v)).buckets;
+    std::vector<double>& buckets = table(static_cast<NodeId>(v)).buckets;
     buckets.resize(n);
-    for (double& b : buckets) b = r.f64();
+    for (double& b : buckets) io.f64(b);
   }
   constexpr std::size_t kRecordBytes = 8 + 4 * sizeof(double);
   for (std::size_t v = 0; v < node_tables_.size(); ++v) {
-    const std::uint64_t n = r.bounded_count(kRecordBytes, "NetFlow records");
-    if (n == 0) continue;
-    NodeTable& t = table(static_cast<NodeId>(v));
-    t.records.resize(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      FlowRecord& record = t.records[i];
-      record.flow = r.u64();
-      record.packets = r.f64();
-      record.bytes = r.f64();
-      record.first_seen = r.f64();
-      record.last_seen = r.f64();
-      MASSF_REQUIRE(i == 0 || t.records[i - 1].flow < record.flow,
+    std::vector<FlowRecord> records;
+    if (!io.reading() && node_tables_[v])
+      records = node_tables_[v]->sorted_records();
+    records.resize(io.bounded_count(records.size(), kRecordBytes, "NetFlow records"));
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      FlowRecord& record = records[i];
+      io.u64(record.flow);
+      io.f64(record.packets);
+      io.f64(record.bytes);
+      io.f64(record.first_seen);
+      io.f64(record.last_seen);
+      MASSF_REQUIRE(i == 0 || records[i - 1].flow < record.flow,
                     "checkpointed NetFlow records are not in ascending "
                     "flow-id order");
     }
-    std::size_t capacity = kMinSlots;
-    while (4 * n > 3 * capacity) capacity *= 2;
-    t.rehash(capacity);
+    if (io.reading() && !records.empty()) {
+      NodeTable& t = table(static_cast<NodeId>(v));
+      t.records = std::move(records);
+      std::size_t capacity = kMinSlots;
+      while (4 * t.records.size() > 3 * capacity) capacity *= 2;
+      t.rehash(capacity);
+    }
   }
 }
 

@@ -89,13 +89,12 @@ class NetFlowCollector {
   /// Sum of packets over all node records (for conservation tests).
   double total_node_packets() const;
 
-  /// Checkpoint support: serialize / restore the full collector state.
-  /// Flow records are written in flow-id order, so the bytes never depend
-  /// on the table layout. load() requires a collector constructed with the
-  /// same dimensions and rejects (std::invalid_argument) a node's records
-  /// that are not in strictly ascending flow-id order.
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
+  /// Checkpoint walk over the full collector state. Flow records are
+  /// written in flow-id order, so the bytes never depend on the table
+  /// layout. Restoring requires a collector constructed with the same
+  /// dimensions and rejects (std::invalid_argument) a node's records that
+  /// are not in strictly ascending flow-id order.
+  void checkpoint(ckpt::Io& io);
 
  private:
   /// One node's profile: load series plus its flow table.

@@ -80,46 +80,22 @@ double LoadMonitor::observed_event_rate() const {
 
 namespace {
 constexpr std::uint32_t kTagMonitor = 0x6d6f6e69;  // "moni"
-
-void save_vector(ckpt::Writer& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (double x : v) w.f64(x);
-}
-
-std::vector<double> load_vector(ckpt::Reader& r) {
-  std::vector<double> v(r.u64());
-  for (double& x : v) x = r.f64();
-  return v;
-}
 }  // namespace
 
-void LoadMonitor::save(ckpt::Writer& w) const {
-  w.tag(kTagMonitor);
-  w.f64(window_s_);
-  w.u64(history_.size());
-  for (const LoadSample& s : history_) {
-    w.f64(s.t);
-    save_vector(w, s.engine_events);
-    save_vector(w, s.node_packets);
-    save_vector(w, s.link_packets);
-  }
-}
-
-void LoadMonitor::load(ckpt::Reader& r) {
-  r.expect_tag(kTagMonitor, "load-monitor section");
-  window_s_ = r.f64();
+void LoadMonitor::checkpoint(ckpt::Io& io) {
+  io.tag(kTagMonitor, "load-monitor section");
+  io.f64(window_s_);
   MASSF_REQUIRE(window_s_ > 0, "snapshot monitor window is corrupt");
-  history_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    LoadSample s;
-    s.t = r.f64();
-    s.engine_events = load_vector(r);
-    s.node_packets = load_vector(r);
-    s.link_packets = load_vector(r);
-    history_.push_back(std::move(s));
+  // A sample is its time plus three counted vectors: at least 32 bytes.
+  history_.resize(io.bounded_count(history_.size(), 32, "monitor sample count"));
+  for (LoadSample& s : history_) {
+    io.f64(s.t);
+    io.f64s(s.engine_events, "monitor engine count");
+    io.f64s(s.node_packets, "monitor node count");
+    io.f64s(s.link_packets, "monitor link count");
   }
-  last_imbalance_.store(imbalance(), std::memory_order_relaxed);
+  if (io.reading())
+    last_imbalance_.store(imbalance(), std::memory_order_relaxed);
 }
 
 }  // namespace massf::rebalance

@@ -66,10 +66,9 @@ class LoadMonitor {
   /// Total kernel event rate (events/s) over the window.
   double observed_event_rate() const;
 
-  /// Checkpoint support: serialize / restore the sliding sample window so a
-  /// restored run's rebalance decisions match the uninterrupted run's.
-  void save(ckpt::Writer& w) const;
-  void load(ckpt::Reader& r);
+  /// Checkpoint walk over the sliding sample window, so a restored run's
+  /// rebalance decisions match the uninterrupted run's.
+  void checkpoint(ckpt::Io& io);
 
   /// Last published imbalance, readable from any thread (a progress gauge
   /// for dashboards/benches while worker threads are running; the hook

@@ -55,4 +55,9 @@ void RebalancePolicy::on_migrated(SimTime now) {
   streak_ = 0;
 }
 
+void RebalancePolicy::checkpoint(ckpt::Io& io) {
+  io.i64(streak_);
+  io.f64(last_migration_);
+}
+
 }  // namespace massf::rebalance

@@ -14,6 +14,7 @@
 
 #include <limits>
 
+#include "ckpt/ckpt.hpp"
 #include "des/kernel.hpp"
 
 namespace massf::rebalance {
@@ -83,13 +84,9 @@ class RebalancePolicy {
 
   int streak() const { return streak_; }
 
-  /// Checkpoint support: the hysteresis/cooldown state a restored run needs
-  /// to reproduce the uninterrupted run's gate-1 decisions.
-  double last_migration() const { return last_migration_; }
-  void restore_state(int streak, double last_migration) {
-    streak_ = streak;
-    last_migration_ = last_migration;
-  }
+  /// Checkpoint walk over the hysteresis/cooldown state a restored run
+  /// needs to reproduce the uninterrupted run's gate-1 decisions.
+  void checkpoint(ckpt::Io& io);
 
  private:
   PolicyConfig config_;

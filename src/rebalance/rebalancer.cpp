@@ -42,41 +42,20 @@ namespace {
 constexpr std::uint32_t kTagController = 0x72626374;  // "rbct"
 }  // namespace
 
-void Controller::save_state(ckpt::Writer& w) const {
-  w.tag(kTagController);
-  monitor_.save(w);
-  w.i64(policy_.streak());
-  w.f64(policy_.last_migration());
-  w.u64(decisions_.size());
-  for (const RebalanceDecision& d : decisions_) {
-    w.f64(d.t);
-    w.f64(d.imbalance);
-    w.f64(d.projected_before);
-    w.f64(d.projected_after);
-    w.f64(d.migration_bytes);
-    w.i64(d.nodes_moved);
-    w.u8(d.migrated ? 1 : 0);
-  }
-}
-
-void Controller::load_state(ckpt::Reader& r) {
-  r.expect_tag(kTagController, "rebalance-controller section");
-  monitor_.load(r);
-  const int streak = static_cast<int>(r.i64());
-  const double last_migration = r.f64();
-  policy_.restore_state(streak, last_migration);
-  decisions_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    RebalanceDecision d;
-    d.t = r.f64();
-    d.imbalance = r.f64();
-    d.projected_before = r.f64();
-    d.projected_after = r.f64();
-    d.migration_bytes = r.f64();
-    d.nodes_moved = static_cast<int>(r.i64());
-    d.migrated = r.u8() != 0;
-    decisions_.push_back(d);
+void Controller::checkpoint(ckpt::Io& io) {
+  io.tag(kTagController, "rebalance-controller section");
+  monitor_.checkpoint(io);
+  policy_.checkpoint(io);
+  // A decision is five doubles, a widened int and a flag: 49 bytes.
+  decisions_.resize(io.bounded_count(decisions_.size(), 49, "decision count"));
+  for (RebalanceDecision& d : decisions_) {
+    io.f64(d.t);
+    io.f64(d.imbalance);
+    io.f64(d.projected_before);
+    io.f64(d.projected_after);
+    io.f64(d.migration_bytes);
+    io.i64(d.nodes_moved);
+    io.flag(d.migrated);
   }
 }
 

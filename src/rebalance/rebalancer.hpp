@@ -73,12 +73,11 @@ class Controller {
     return decisions_;
   }
 
-  /// Checkpoint support: serialize / restore the controller's mutable state
-  /// (monitor window, policy hysteresis/cooldown, decision log). Designed
-  /// for CheckpointConfig::save_extra / Emulator::restore's load_extra, so
-  /// a supervised run's rebalance decisions survive a crash bit-identically.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
+  /// Checkpoint walk over the controller's mutable state (monitor window,
+  /// policy hysteresis/cooldown, decision log). Designed as the snapshot's
+  /// extra walk (SuperviseOptions::extra), so a supervised run's rebalance
+  /// decisions survive a crash bit-identically.
+  void checkpoint(ckpt::Io& io);
 
  private:
   void on_safepoint(emu::Emulator& emulator, SimTime t, SimTime horizon);

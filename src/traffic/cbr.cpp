@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "ckpt/ckpt.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -38,15 +39,7 @@ class CbrSender : public emu::AppEndpoint {
     arm(api, index, /*first=*/false);
   }
 
-  void save_state(std::vector<std::uint64_t>& out) const override {
-    for (std::uint64_t word : rng_.state()) out.push_back(word);
-  }
-
-  void load_state(const std::vector<std::uint64_t>& in) override {
-    MASSF_REQUIRE(in.size() == 4,
-                  "CBR sender snapshot state must be 4 RNG words");
-    rng_.set_state({in[0], in[1], in[2], in[3]});
-  }
+  void checkpoint(ckpt::Io& io) override { io.rng(rng_); }
 
  private:
   void arm(emu::AppApi& api, std::size_t index, bool first) {

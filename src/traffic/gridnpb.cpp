@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "ckpt/ckpt.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -110,22 +111,11 @@ class WorkflowEndpoint : public emu::AppEndpoint {
   /// Each endpoint owns the arrived-input counts of its host's tasks (the
   /// shared RunState is partitioned by host, matching the race-freedom
   /// rule), so together the endpoints serialize the whole workflow state.
-  void save_state(std::vector<std::uint64_t>& out) const override {
+  void checkpoint(ckpt::Io& io) override {
+    // The arrival counts of the tasks this host runs; a snapshot taken with
+    // a different task graph fails the emulator's block-length check.
     for (std::size_t t = 0; t < state_->graph.tasks.size(); ++t)
-      if (state_->graph.tasks[t].host == host_)
-        out.push_back(static_cast<std::uint64_t>(state_->arrived[t]));
-  }
-
-  void load_state(const std::vector<std::uint64_t>& in) override {
-    std::size_t i = 0;
-    for (std::size_t t = 0; t < state_->graph.tasks.size(); ++t)
-      if (state_->graph.tasks[t].host == host_) {
-        MASSF_REQUIRE(i < in.size(), "workflow snapshot state truncated");
-        state_->arrived[t] = static_cast<int>(in[i++]);
-      }
-    MASSF_REQUIRE(i == in.size(),
-                  "workflow snapshot state has extra words — the snapshot "
-                  "was taken with a different task graph");
+      if (state_->graph.tasks[t].host == host_) io.i64(state_->arrived[t]);
   }
 
  private:

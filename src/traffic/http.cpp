@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ckpt/ckpt.hpp"
 #include "util/error.hpp"
 
 #include "util/rng.hpp"
@@ -48,15 +49,7 @@ class HttpClient : public emu::AppEndpoint {
              kTagGet + static_cast<int>(session));
   }
 
-  void save_state(std::vector<std::uint64_t>& out) const override {
-    for (std::uint64_t word : rng_.state()) out.push_back(word);
-  }
-
-  void load_state(const std::vector<std::uint64_t>& in) override {
-    MASSF_REQUIRE(in.size() == 4,
-                  "HTTP client snapshot state must be 4 RNG words");
-    rng_.set_state({in[0], in[1], in[2], in[3]});
-  }
+  void checkpoint(ckpt::Io& io) override { io.rng(rng_); }
 
  private:
   void arm(emu::AppApi& api, std::size_t session, double delay) {
@@ -87,15 +80,7 @@ class HttpServer : public emu::AppEndpoint {
     api.send(message.src, bytes, kTagResponse + session);
   }
 
-  void save_state(std::vector<std::uint64_t>& out) const override {
-    for (std::uint64_t word : rng_.state()) out.push_back(word);
-  }
-
-  void load_state(const std::vector<std::uint64_t>& in) override {
-    MASSF_REQUIRE(in.size() == 4,
-                  "HTTP server snapshot state must be 4 RNG words");
-    rng_.set_state({in[0], in[1], in[2], in[3]});
-  }
+  void checkpoint(ckpt::Io& io) override { io.rng(rng_); }
 
  private:
   HttpParams params_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "ckpt/ckpt.hpp"
 #include "util/error.hpp"
 
 namespace massf::traffic {
@@ -112,15 +113,7 @@ class ScalapackRank : public emu::AppEndpoint {
     }
   }
 
-  void save_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(static_cast<std::uint64_t>(acks_));
-  }
-
-  void load_state(const std::vector<std::uint64_t>& in) override {
-    MASSF_REQUIRE(in.size() == 1,
-                  "ScaLapack rank snapshot state must be 1 word");
-    acks_ = static_cast<int>(in[0]);
-  }
+  void checkpoint(ckpt::Io& io) override { io.i64(acks_); }
 
  private:
   /// All protocol traffic goes through here so the reliable flag applies

@@ -208,19 +208,12 @@ inline std::vector<unsigned char> snapshot_payload(const std::string& path) {
 /// Carry a rebalance controller's state in every snapshot's extra section.
 inline void carry_controller(emu::CheckpointConfig& cfg,
                              rebalance::Controller& controller) {
-  cfg.save_extra = [&controller](ckpt::Writer& w) {
-    controller.save_state(w);
-  };
+  cfg.extra = [&controller](ckpt::Io& io) { controller.checkpoint(io); };
 }
 
 inline void carry_controller(mapping::SuperviseOptions& options,
                              rebalance::Controller& controller) {
-  options.save_extra = [&controller](ckpt::Writer& w) {
-    controller.save_state(w);
-  };
-  options.load_extra = [&controller](ckpt::Reader& r) {
-    controller.load_state(r);
-  };
+  options.extra = [&controller](ckpt::Io& io) { controller.checkpoint(io); };
 }
 
 /// Restore a freshly rebuilt emulator from the snapshot at `path`; returns
@@ -228,7 +221,8 @@ inline void carry_controller(mapping::SuperviseOptions& options,
 inline des::SimTime restore_from(emu::Emulator& emulator,
                                  const std::string& path) {
   ckpt::Reader reader = ckpt::Reader::from_file(path);
-  return emulator.restore(reader);
+  ckpt::Io io(reader);
+  return emulator.checkpoint(io);
 }
 
 }  // namespace massf::ckpt_scenario

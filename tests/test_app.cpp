@@ -12,6 +12,7 @@
 #include "app/lb_policy.hpp"
 #include "app/rpc.hpp"
 #include "app/scenario.hpp"
+#include "ckpt/ckpt.hpp"
 #include "emu/emulator.hpp"
 #include "fault/fault.hpp"
 #include "routing/routing.hpp"
@@ -108,10 +109,14 @@ TEST(LbPolicy, RoundRobinSaveLoadResumes) {
   auto p = make_policy(PolicyKind::RoundRobin, ids_n(5));
   p->pick(0, 0);
   p->pick(0, 0);
-  std::vector<std::uint64_t> words;
-  p->save_state(words);
+  ckpt::Writer w;
+  ckpt::Io save(w);
+  p->checkpoint(save);
   auto q = make_policy(PolicyKind::RoundRobin, ids_n(5));
-  q->load_state(words);
+  ckpt::Reader r(w.payload());
+  ckpt::Io load(r);
+  q->checkpoint(load);
+  EXPECT_EQ(r.remaining(), 0u);
   for (int i = 0; i < 7; ++i) EXPECT_EQ(q->pick(0, 0), p->pick(0, 0));
 }
 

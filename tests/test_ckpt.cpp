@@ -3,7 +3,7 @@
 // Three layers are exercised:
 //   * the container format (src/ckpt/): CRC/truncation/version rejection
 //     and the atomic write-rename protocol under injected mid-write kills;
-//   * Emulator::checkpoint/restore: a run killed at a randomized point and
+//   * the Emulator::checkpoint walk: a run killed at a randomized point and
 //     restored from the latest valid snapshot finishes with a bit-identical
 //     history_hash to the uninterrupted run, across both sync protocols ×
 //     both execution modes, with and without a random fault plan;
@@ -22,12 +22,16 @@
 #include <thread>
 #include <vector>
 
+#include "app/rpc.hpp"
+#include "app/scenario.hpp"
 #include "ckpt/ckpt.hpp"
 #include "ckpt_scenario.hpp"
 #include "core/pipeline.hpp"
 #include "des/kernel.hpp"
 #include "emu/emulator.hpp"
 #include "fault/fault.hpp"
+#include "rebalance/monitor.hpp"
+#include "rebalance/rebalancer.hpp"
 #include "topology/topologies.hpp"
 #include "traffic/cbr.hpp"
 #include "util/rng.hpp"
@@ -268,6 +272,13 @@ emu::CheckpointConfig schedule(const std::string& dir, double period,
   return cfg;
 }
 
+/// Restore a rebuilt emulator from the snapshot file at `path`.
+des::SimTime restore(emu::Emulator& emulator, const std::string& path) {
+  ckpt::Reader reader = ckpt::Reader::from_file(path);
+  ckpt::Io io(reader);
+  return emulator.checkpoint(io);
+}
+
 // ---------------------------------------------------------------------------
 // Safepoint edge cases
 // ---------------------------------------------------------------------------
@@ -363,9 +374,8 @@ TEST(Checkpoint, RestoreRejectsAMismatchedEmulator) {
 
   // Wrong engine count → rejected before any state is half-applied.
   emu::Emulator wrong = fx.make({0, 0, 0, 0}, 1);
-  ckpt::Reader r = ckpt::Reader::from_file(snaps.back().second);
   try {
-    wrong.restore(r);
+    restore(wrong, snaps.back().second);
     FAIL() << "expected the engine-count mismatch to be rejected";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("engine count"), std::string::npos)
@@ -374,16 +384,15 @@ TEST(Checkpoint, RestoreRejectsAMismatchedEmulator) {
 
   // The matching shape restores fine.
   emu::Emulator right = fx.make({0, 0, 1, 1}, 2);
-  ckpt::Reader r2 = ckpt::Reader::from_file(snaps.back().second);
-  EXPECT_DOUBLE_EQ(right.restore(r2), 5.0);
+  EXPECT_DOUBLE_EQ(restore(right, snaps.back().second), 5.0);
 }
 
 // ---------------------------------------------------------------------------
 // Kernel restore validation on crafted snapshots
 // ---------------------------------------------------------------------------
 
-/// A minimal well-formed kernel snapshot in the layout
-/// Kernel::save_checkpoint writes: two LPs, GlobalWindow, default cost
+/// A minimal well-formed kernel snapshot in the layout the
+/// Kernel::checkpoint walk writes: two LPs, GlobalWindow, default cost
 /// model, resumed at t = 5, one channel 0 → 1, and on LP 0 one load-series
 /// bucket plus one pending event. Each field below corrupts one thing.
 struct CraftedSnapshot {
@@ -443,8 +452,10 @@ class CountingSink : public des::EventSink {
 
 void restore_crafted(des::Kernel& kernel, const CraftedSnapshot& snapshot) {
   ckpt::Reader r = snapshot.reader();
-  kernel.restore_checkpoint(
-      r, [](ckpt::Reader&) -> void* { return nullptr; }, [](void*) {});
+  ckpt::Io io(r);
+  kernel.checkpoint(
+      io, [](ckpt::Io&, void*& payload) { payload = nullptr; },
+      [](void*) {});
 }
 
 TEST(CheckpointRestore, AcceptsAWellFormedCraftedSnapshot) {
@@ -462,7 +473,8 @@ TEST(CheckpointRestore, RejectsCountsTheSnapshotCannotHold) {
   // Each count is well framed (the payload is built, not flipped) but
   // claims more elements than the remaining bytes could encode: the reader
   // error, raised before anything is sized from the count.
-  for (const std::uint64_t huge : {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+  for (const std::uint64_t huge : {std::uint64_t{1} << 40,
+                                   std::uint64_t{1} << 60, ~std::uint64_t{0}}) {
     CraftedSnapshot channels;
     channels.channel_count = huge;
     CraftedSnapshot series;
@@ -490,6 +502,186 @@ TEST(CheckpointRestore, RejectsPendingEventsItCannotResume) {
     des::Kernel kernel(2, 1.0);
     EXPECT_THROW(restore_crafted(kernel, *bad), std::invalid_argument);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Corrupt counts: every count read from a snapshot is bounded by the bytes
+// left before it sizes anything, so a count of 2^60 is a CkptError — never
+// std::length_error or std::bad_alloc, which would escape run_supervised's
+// fallback to an older snapshot.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 60;
+
+/// Walk crafted bytes into `target` through a reading Io.
+template <typename T>
+void walk_crafted(T& target, const ckpt::Writer& w) {
+  ckpt::Reader r(w.payload(), "crafted");
+  ckpt::Io io(r);
+  target.checkpoint(io);
+}
+
+void put_words(ckpt::Writer& w, int n, std::uint64_t value = 0) {
+  for (int i = 0; i < n; ++i) w.u64(value);
+}
+
+TEST(CorruptCounts, LoadMonitorSamplesAndVectors) {
+  constexpr std::uint32_t kTagMonitor = 0x6d6f6e69;  // "moni"
+  for (int site = 0; site < 4; ++site) {
+    SCOPED_TRACE(::testing::Message() << "count site " << site);
+    ckpt::Writer w;
+    w.tag(kTagMonitor);
+    w.f64(1.0);  // window
+    w.u64(site == 0 ? kHugeCount : 1);  // samples
+    w.f64(0.5);                         // sample time
+    for (int v = 1; v < 4; ++v) {       // engine, node, link vectors
+      w.u64(site == v ? kHugeCount : 1);
+      w.f64(2.0);
+    }
+    rebalance::LoadMonitor monitor(1.0);
+    EXPECT_THROW(walk_crafted(monitor, w), ckpt::CkptError);
+  }
+}
+
+TEST(CorruptCounts, ControllerDecisionLog) {
+  TinyNet fx;
+  rebalance::Controller controller(fx.net, *fx.tables);
+  ckpt::Writer w;
+  w.tag(0x72626374);  // "rbct"
+  w.tag(0x6d6f6e69);  // "moni"
+  w.f64(1.0);         // monitor window
+  w.u64(0);           // no samples
+  w.i64(0);           // policy streak
+  w.f64(0);           // last migration
+  w.u64(kHugeCount);  // decisions
+  EXPECT_THROW(walk_crafted(controller, w), ckpt::CkptError);
+}
+
+TEST(CorruptCounts, RpcEndpointMapsAndPolicyBlock) {
+  {
+    app::ServerParams params;
+    params.workers = 2;
+    app::ServerEndpoint server(params);
+    ckpt::Writer w;
+    put_words(w, 4 + 1 + 2);  // rng, job sequence, worker clocks
+    w.u64(kHugeCount);        // jobs
+    EXPECT_THROW(walk_crafted(server, w), ckpt::CkptError);
+  }
+  app::LoadBalancerParams lb_params;
+  lb_params.backends = {1, 2};
+  {
+    app::LoadBalancerEndpoint lb(lb_params);
+    ckpt::Writer w;
+    w.u64(0);           // flight sequence
+    w.u64(kHugeCount);  // policy block length
+    EXPECT_THROW(walk_crafted(lb, w), ckpt::CkptError);
+  }
+  {
+    app::LoadBalancerEndpoint lb(lb_params);
+    ckpt::Writer w;
+    w.u64(0);           // flight sequence
+    w.u64(1);           // policy block: one word,
+    w.u64(0);           //   the round-robin cursor
+    w.u64(kHugeCount);  // flights
+    EXPECT_THROW(walk_crafted(lb, w), ckpt::CkptError);
+  }
+  {
+    app::ClientParams params;
+    params.lb = 0;
+    app::ClientEndpoint client(params);
+    ckpt::Writer w;
+    put_words(w, 4 + 1);  // rng, request sequence
+    w.u64(kHugeCount);    // outstanding requests
+    EXPECT_THROW(walk_crafted(client, w), ckpt::CkptError);
+  }
+}
+
+TEST(CorruptCounts, BlockMustBeWalkedExactly) {
+  app::LoadBalancerParams lb_params;
+  lb_params.backends = {1, 2};
+  for (const std::uint64_t words : {0u, 2u}) {
+    // The round-robin policy walks one word; a block recording 0 or 2 words
+    // is a layout mismatch, reported before the next field is read.
+    app::LoadBalancerEndpoint lb(lb_params);
+    ckpt::Writer w;
+    w.u64(0);  // flight sequence
+    w.u64(words);
+    put_words(w, static_cast<int>(words));
+    put_words(w, 8);  // room for the rest of the endpoint
+    EXPECT_THROW(walk_crafted(lb, w), ckpt::CkptError) << words << " words";
+  }
+}
+
+TEST(CorruptCounts, EveryWordOfAnEmulatorSnapshotRejectsCleanly) {
+  // Overwrite each 8-byte window of a real RPC snapshot with 2^60 in turn:
+  // every restore either succeeds (the window held a plain value) or fails
+  // with one of the two documented errors — a CkptError for bytes that do
+  // not parse, std::invalid_argument for a snapshot that does not match
+  // the rebuilt emulator. Any other exception fails the test.
+  app::LbScenarioParams params;
+  params.backends = 2;
+  params.client_hosts = 1;
+  params.users_per_host = 10;
+  params.rate_per_user = 20;
+  params.duration_s = 1.0;
+  params.policy = app::PolicyKind::PeakEwma;
+  const app::LbScenario scenario = app::make_lb_scenario(params);
+  const routing::RoutingTables tables =
+      routing::RoutingTables::build(scenario.net);
+  const app::LbWorkload workload(scenario, params);
+  const auto build = [&] {
+    std::vector<int> placement(
+        static_cast<std::size_t>(scenario.net.node_count()));
+    for (std::size_t i = 0; i < placement.size(); ++i)
+      placement[i] = static_cast<int>(i % 2);
+    emu::EmulatorConfig config;
+    config.collect_netflow = false;  // its counts have their own test
+    config.reliable.base_timeout_s = 0.05;
+    auto emulator = std::make_unique<emu::Emulator>(
+        scenario.net, tables, std::move(placement), 2, config);
+    workload.install(*emulator);
+    return emulator;
+  };
+
+  std::string path;
+  {
+    auto emulator = build();
+    emu::CheckpointConfig cfg = schedule(fresh_dir("mutate"), 10.0);
+    cfg.first_s = 0.5;
+    cfg.on_checkpoint = [&path](std::uint64_t, const std::string& p) {
+      path = p;
+    };
+    emulator->set_checkpoint_schedule(cfg, 0.6);
+    emulator->run(0.6);
+  }
+  const std::vector<unsigned char> payload =
+      ckpt_scenario::snapshot_payload(path);
+  ASSERT_GT(payload.size(), 64u);
+  {
+    auto emulator = build();
+    ckpt::Reader r(payload, "intact");
+    ckpt::Io io(r);
+    EXPECT_DOUBLE_EQ(emulator->checkpoint(io), 0.5);
+  }
+
+  std::size_t rejected = 0;
+  for (std::size_t at = 0; at + 8 <= payload.size(); ++at) {
+    std::vector<unsigned char> bytes = payload;
+    for (int b = 0; b < 8; ++b)
+      bytes[at + static_cast<std::size_t>(b)] =
+          static_cast<unsigned char>(kHugeCount >> (8 * b));
+    auto emulator = build();
+    ckpt::Reader r(std::move(bytes), "mutated");
+    ckpt::Io io(r);
+    try {
+      emulator->checkpoint(io);
+    } catch (const ckpt::CkptError&) {
+      ++rejected;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -604,8 +796,7 @@ RunOutcome crash_then_recover(ChaosNet& fx, int engines, des::SyncMode sync,
   const auto snaps = ckpt::list_checkpoints(dir);
   std::uint64_t next_seq = 0;
   if (!snaps.empty()) {
-    ckpt::Reader reader = ckpt::Reader::from_file(snaps.back().second);
-    EXPECT_GT(revived->restore(reader), 0.0);
+    EXPECT_GT(restore(*revived, snaps.back().second), 0.0);
     next_seq = snaps.back().first + 1;
   }
   revived->set_checkpoint_schedule(schedule(dir, kPeriod, 32, next_seq),

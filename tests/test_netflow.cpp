@@ -80,13 +80,16 @@ TEST(NetFlow, CheckpointRoundTripIsByteIdentical) {
   collector.record_node(0, make_packet(0, 3, 7, 1, 1500), 4.5);
   collector.record_link(1, 1, make_packet(3, 0, 7, 1, 1500));
   ckpt::Writer first;
-  collector.save(first);
+  ckpt::Io save_first(first);
+  collector.checkpoint(save_first);
 
   NetFlowCollector restored(4, 3, 1.0);
   ckpt::Reader reader(first.payload());
-  restored.load(reader);
+  ckpt::Io load(reader);
+  restored.checkpoint(load);
   ckpt::Writer second;
-  restored.save(second);
+  ckpt::Io save_second(second);
+  restored.checkpoint(save_second);
   EXPECT_EQ(first.payload(), second.payload());
   const auto flows = restored.node_flows(2);
   ASSERT_EQ(flows.size(), 4u);
@@ -118,22 +121,30 @@ std::vector<unsigned char> crafted_section(const std::vector<std::uint64_t>& flo
   return w.payload();
 }
 
+/// Restore `collector` from a crafted section.
+void restore(NetFlowCollector& collector, std::vector<unsigned char> bytes) {
+  ckpt::Reader reader(std::move(bytes));
+  ckpt::Io io(reader);
+  collector.checkpoint(io);
+}
+
 TEST(NetFlow, LoadRejectsMalformedRecordLists) {
   {
     NetFlowCollector collector(1, 0, 1.0);
-    ckpt::Reader ok(crafted_section({3, 9}, 2));
-    collector.load(ok);
+    restore(collector, crafted_section({3, 9}, 2));
     EXPECT_EQ(collector.node_flows(0).size(), 2u);
   }
   for (const auto& flows : {std::vector<std::uint64_t>{9, 3},
                             std::vector<std::uint64_t>{5, 5}}) {
     NetFlowCollector collector(1, 0, 1.0);
-    ckpt::Reader unordered(crafted_section(flows, 2));
-    EXPECT_THROW(collector.load(unordered), std::invalid_argument);
+    EXPECT_THROW(restore(collector, crafted_section(flows, 2)),
+                 std::invalid_argument);
   }
-  NetFlowCollector collector(1, 0, 1.0);
-  ckpt::Reader oversized(crafted_section({3}, 1ULL << 40));
-  EXPECT_THROW(collector.load(oversized), ckpt::CkptError);
+  for (const std::uint64_t huge : {1ULL << 40, 1ULL << 60}) {
+    NetFlowCollector collector(1, 0, 1.0);
+    EXPECT_THROW(restore(collector, crafted_section({3}, huge)),
+                 ckpt::CkptError);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -103,8 +103,10 @@ std::uint64_t run_digest(const topology::Network& net,
     }
   }
   EXPECT_GT(records, 2000u);  // many flows per node, not a handful
+  NetFlowCollector walked(flows);
   ckpt::Writer w;
-  flows.save(w);
+  ckpt::Io io(w);
+  walked.checkpoint(io);
   fnv.u64(w.size());
   fnv.bytes(w.payload().data(), w.size());
   return fnv.value();

@@ -49,7 +49,7 @@ class InjectedCrash : public std::runtime_error {
 /// "MSCK" little-endian.
 constexpr std::uint32_t kMagic = 0x4b43534du;
 /// Bump on any payload layout change; Reader rejects mismatches.
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `size` bytes.
 std::uint32_t crc32(const void* data, std::size_t size);

@@ -206,7 +206,6 @@ struct Kernel::Impl {
     std::uint64_t events = 0;
     double busy_total = 0;
     std::uint64_t remote_sent = 0;
-    std::uint64_t remote_received = 0;
     std::uint64_t history = kHashSeed;
     SimTime max_time = 0;
     /// Reused staging buffer for inbox/mailbox merges (this LP only).
@@ -442,7 +441,6 @@ struct Kernel::Impl {
       }
     }
     receiver.window_busy += per_remote_cost * static_cast<double>(incoming);
-    receiver.remote_received += incoming;
   }
 
   /// Deliver pending outbox slots into dst's queue (second half of the
@@ -928,7 +926,6 @@ void Kernel::checkpoint(ckpt::Io& io, const PayloadIo& payload,
     // next window into window_busy; they must survive the restore.
     io.f64(lp.window_busy);
     io.u64(lp.remote_sent);
-    io.u64(lp.remote_received);
     io.u64(lp.history);
     io.f64(lp.max_time);
     io.u64(lp.advances);

@@ -428,7 +428,7 @@ struct CraftedSnapshot {
     w.f64(0);    // max lag
     for (int lp = 0; lp < 2; ++lp) {
       w.tag(0x6b6c7073);                      // "klps"
-      for (int i = 0; i < 12; ++i) w.u64(0);  // per-LP counters
+      for (int i = 0; i < 11; ++i) w.u64(0);  // per-LP counters
       w.u64(lp == 0 ? series_count : 0);
       if (lp == 0) w.f64(0);  // the one bucket
       w.u64(lp == 0 ? pending_count : 0);

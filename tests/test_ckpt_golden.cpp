@@ -97,8 +97,8 @@ struct GoldenCase {
 TEST(CkptGolden, SnapshotPayloadDigestIsStable) {
   const AppNet fx;
   const GoldenCase cases[] = {
-      {des::SyncMode::GlobalWindow, 0x76b559cea0f28573ULL},
-      {des::SyncMode::ChannelLookahead, 0x87d96997e8848fe6ULL},
+      {des::SyncMode::GlobalWindow, 0x700ad7255d8468b3ULL},
+      {des::SyncMode::ChannelLookahead, 0xae8d2a67845797c2ULL},
   };
   for (const GoldenCase& g : cases) {
     SCOPED_TRACE(sync_name(g.sync));

@@ -796,7 +796,7 @@ void Emulator::run(SimTime until, des::ExecutionMode mode) {
           due = true;
           ++ckpt_cursor_;
         }
-        if (due) write_checkpoint(t);
+        if (due) write_checkpoint();
       }
     });
   }
@@ -834,7 +834,7 @@ void Emulator::set_checkpoint_schedule(const CheckpointConfig& cfg,
                          << cfg.dir << "': " << ec.message());
 }
 
-void Emulator::write_checkpoint(SimTime t) {
+void Emulator::write_checkpoint() {
   ckpt::maybe_crash("before-checkpoint");
   ckpt::Writer w;
   ckpt::Io io(w);

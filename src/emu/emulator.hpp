@@ -469,7 +469,7 @@ class Emulator : private des::EventSink {
   void checkpoint_packet(ckpt::Io& io, Packet*& packet);
 
   /// Write one snapshot (safepoint hook context) and prune old ones.
-  void write_checkpoint(SimTime t);
+  void write_checkpoint();
 
   /// Kernel event: a packet train arrives at (or is injected on) a node.
   /// Takes ownership of the pool-backed packet.

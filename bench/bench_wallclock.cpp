@@ -39,7 +39,7 @@
 //
 //   $ ./bench_wallclock [BENCH_wallclock.json]
 //
-// bench/run_wallclock_bench.sh builds Release and records the JSON; a
+// bench/run.sh wallclock builds Release and records the JSON; a
 // debug build refuses to write results.
 #include <algorithm>
 #include <chrono>
@@ -307,7 +307,7 @@ int main(int argc, char** argv) {
   (void)argv;
   std::cerr << "bench_wallclock: refusing to record results from a debug "
                "build (assertions enabled). Build Release — see "
-               "bench/run_wallclock_bench.sh.\n";
+               "bench/run.sh wallclock.\n";
   return 1;
 #else
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_wallclock.json";

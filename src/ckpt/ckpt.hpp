@@ -99,7 +99,9 @@ class Reader {
   static Reader from_file(const std::string& path);
 
   explicit Reader(std::vector<unsigned char> payload, std::string source = "")
-      : buf_(std::move(payload)), end_(buf_.size()), source_(std::move(source)) {}
+      : buf_(std::move(payload)),
+        end_(buf_.size()),
+        source_(std::move(source)) {}
 
   std::uint8_t u8();
   std::uint32_t u32();
@@ -116,8 +118,8 @@ class Reader {
   /// Bytes left before the end of the payload, or of the enclosing block.
   std::size_t remaining() const { return end_ - pos_; }
 
-  /// Confine reads to the next `bytes` bytes (at most remaining()); returns
-  /// the enclosing end for leave().
+  /// Confine reads to the next `bytes` bytes, which the caller has bounded
+  /// by remaining(); returns the enclosing end for leave().
   std::size_t enter(std::size_t bytes) {
     const std::size_t outer = end_;
     end_ = pos_ + bytes;
@@ -142,8 +144,8 @@ class Reader {
 /// checkpointed type therefore lists its fields once, in one
 /// `checkpoint(Io&)` walk, and the few steps that really differ by
 /// direction (validating live state, rebuilding derived structures) test
-/// reading(). Every count read back is bounded by the bytes left, so a
-/// corrupt snapshot raises CkptError before it can size an allocation.
+/// reading(). Counts go through bounded_count, so a corrupt count raises
+/// CkptError before it can size an allocation.
 class Io {
  public:
   explicit Io(Writer& w) : w_(&w) {}
@@ -151,9 +153,25 @@ class Io {
 
   bool reading() const { return r_ != nullptr; }
 
-  void u8(std::uint8_t& v) { if (r_) v = r_->u8(); else w_->u8(v); }
-  void u32(std::uint32_t& v) { if (r_) v = r_->u32(); else w_->u32(v); }
-  void f64(double& v) { if (r_) v = r_->f64(); else w_->f64(v); }
+  void u8(std::uint8_t& v) {
+    if (r_)
+      v = r_->u8();
+    else
+      w_->u8(v);
+  }
+  void u32(std::uint32_t& v) {
+    if (r_)
+      v = r_->u32();
+    else
+      w_->u32(v);
+  }
+  /// A double, stored by bit pattern.
+  void f64(double& v) {
+    if (r_)
+      v = r_->f64();
+    else
+      w_->f64(v);
+  }
   /// One byte: 1 for true, 0 for false (any nonzero byte reads as true).
   void flag(bool& v);
   /// Any unsigned integer as 8 bytes: narrower types widen on write and
@@ -178,14 +196,17 @@ class Io {
   }
   /// Section marker: written, or checked against the snapshot.
   void tag(std::uint32_t t, const char* what) {
-    if (r_) r_->expect_tag(t, what); else w_->tag(t);
+    if (r_)
+      r_->expect_tag(t, what);
+    else
+      w_->tag(t);
   }
 
   /// An element count: `n` is written as is; reading returns the stored
   /// count, rejected with CkptError when the bytes left cannot hold that
   /// many elements of at least `min_bytes` each.
   std::uint64_t bounded_count(std::uint64_t n, std::size_t min_bytes,
-                      const char* what) {
+                              const char* what) {
     if (r_) return r_->bounded_count(min_bytes, what);
     w_->u64(n);
     return n;

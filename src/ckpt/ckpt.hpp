@@ -77,8 +77,6 @@ class Writer {
 
   std::size_t size() const { return buf_.size(); }
   const std::vector<unsigned char>& payload() const { return buf_; }
-  /// Overwrite the u64 written at byte offset `at` (a back-patched count).
-  void patch_u64(std::size_t at, std::uint64_t v);
 
   /// Atomically publish header+payload at `path` (tmp write, flush, fsync,
   /// rename). Calls maybe_crash("mid-write") after the tmp file is durable
@@ -87,6 +85,10 @@ class Writer {
   void commit(const std::string& path) const;
 
  private:
+  friend class Io;
+  /// Overwrite the u64 written at byte offset `at` (a back-patched count).
+  void patch_u64(std::size_t at, std::uint64_t v);
+
   std::vector<unsigned char> buf_;
 };
 
@@ -118,6 +120,8 @@ class Reader {
   /// Bytes left before the end of the payload, or of the enclosing block.
   std::size_t remaining() const { return end_ - pos_; }
 
+ private:
+  friend class Io;
   /// Confine reads to the next `bytes` bytes, which the caller has bounded
   /// by remaining(); returns the enclosing end for leave().
   std::size_t enter(std::size_t bytes) {
@@ -129,7 +133,6 @@ class Reader {
   /// its body consumed every byte, then restores the enclosing end.
   void leave(std::size_t outer, const char* what);
 
- private:
   void need(std::size_t n, const char* what);
   void fail(std::size_t at, const std::string& what) const;
 

@@ -851,7 +851,8 @@ void Kernel::checkpoint(ckpt::Io& io, const PayloadIo& payload,
   lookahead_ = la;
   io.f64(stats_.bucket_width);
   io.f64(sim_position_);
-  SimTime resume = now();  // the safepoint time — the restored run resumes here
+  // The safepoint time: the restored run resumes here.
+  SimTime resume = now();
   io.f64(resume);
 
   // Live aggregate counters. GlobalWindow charges the safepoint rendezvous

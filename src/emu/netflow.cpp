@@ -199,7 +199,8 @@ void NetFlowCollector::checkpoint(ckpt::Io& io) {
     std::vector<FlowRecord> records;
     if (!io.reading() && node_tables_[v])
       records = node_tables_[v]->sorted_records();
-    records.resize(io.bounded_count(records.size(), kRecordBytes, "NetFlow records"));
+    records.resize(
+        io.bounded_count(records.size(), kRecordBytes, "NetFlow records"));
     for (std::size_t i = 0; i < records.size(); ++i) {
       FlowRecord& record = records[i];
       io.u64(record.flow);

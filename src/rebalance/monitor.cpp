@@ -87,7 +87,8 @@ void LoadMonitor::checkpoint(ckpt::Io& io) {
   io.f64(window_s_);
   MASSF_REQUIRE(window_s_ > 0, "snapshot monitor window is corrupt");
   // A sample is its time plus three counted vectors: at least 32 bytes.
-  history_.resize(io.bounded_count(history_.size(), 32, "monitor sample count"));
+  history_.resize(
+      io.bounded_count(history_.size(), 32, "monitor sample count"));
   for (LoadSample& s : history_) {
     io.f64(s.t);
     io.f64s(s.engine_events, "monitor engine count");

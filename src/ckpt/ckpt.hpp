@@ -112,16 +112,16 @@ class Reader {
   double f64();
   std::string str();
   void expect_tag(std::uint32_t t, const char* what);
-  /// A u64 element count for elements of at least `min_bytes` each; throws
-  /// CkptError when the rest of the payload cannot hold that many, so a
-  /// corrupt count never sizes an allocation.
-  std::uint64_t bounded_count(std::size_t min_bytes, const char* what);
 
   /// Bytes left before the end of the payload, or of the enclosing block.
   std::size_t remaining() const { return end_ - pos_; }
 
  private:
   friend class Io;
+  /// A u64 element count for elements of at least `min_bytes` each; throws
+  /// CkptError when the bytes left cannot hold that many, so a corrupt
+  /// count never sizes an allocation.
+  std::uint64_t bounded_count(std::size_t min_bytes, const char* what);
   /// Confine reads to the next `bytes` bytes, which the caller has bounded
   /// by remaining(); returns the enclosing end for leave().
   std::size_t enter(std::size_t bytes) {

@@ -99,16 +99,18 @@ TEST(NetFlow, CheckpointRoundTripIsByteIdentical) {
   EXPECT_EQ(restored.node_series(), collector.node_series());
 }
 
-/// A one-node, zero-link NetFlow section whose node holds `flows` records.
+/// A one-node, zero-link NetFlow section whose node holds `flows` records
+/// (claiming `claimed`) and one load bucket (claiming `buckets`).
 std::vector<unsigned char> crafted_section(const std::vector<std::uint64_t>& flows,
-                                           std::uint64_t claimed) {
+                                           std::uint64_t claimed,
+                                           std::uint64_t buckets = 1) {
   ckpt::Writer w;
   w.tag(0x6e666c77);  // "nflw"
   w.f64(1.0);         // bucket width
   w.u64(1);           // nodes
   w.f64(static_cast<double>(flows.size()));
   w.u64(0);           // link directions
-  w.u64(1);           // bucket row of node 0
+  w.u64(buckets);     // bucket row of node 0
   w.f64(static_cast<double>(flows.size()));
   w.u64(claimed);
   for (std::uint64_t flow : flows) {
@@ -141,8 +143,11 @@ TEST(NetFlow, LoadRejectsMalformedRecordLists) {
                  std::invalid_argument);
   }
   for (const std::uint64_t huge : {1ULL << 40, 1ULL << 60}) {
-    NetFlowCollector collector(1, 0, 1.0);
-    EXPECT_THROW(restore(collector, crafted_section({3}, huge)),
+    NetFlowCollector records(1, 0, 1.0);
+    EXPECT_THROW(restore(records, crafted_section({3}, huge)),
+                 ckpt::CkptError);
+    NetFlowCollector buckets(1, 0, 1.0);
+    EXPECT_THROW(restore(buckets, crafted_section({3}, 1, huge)),
                  ckpt::CkptError);
   }
 }
